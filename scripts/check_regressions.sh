@@ -9,17 +9,15 @@
 # against the committed baselines in bench/baselines/. Non-zero exit on
 # regression (including any ML-kernel Blocked-vs-Naive bit mismatch, a
 # constellation-engine thread-divergence under --verify, a miss of the
-# constellation throughput floor under --assert-throughput, a
-# staged-vs-batch report mismatch or steady-state heap allocation in
-# bench_dataplane, and any health-plane alert divergence, missed
-# detection, or overhead-budget breach, all of which fail the bench
-# itself). bench_prof --verify guards the CPU profiling plane's
-# determinism contract (byte-identical journal/series/metrics with
-# profiling on vs off at 1/4/16 threads) and its overhead ceiling, and
-# the bench_dataplane run also captures a profile whose span table —
-# exact call counts per instrumented span — is diffed against
-# bench/baselines/prof.spans.json (span costs get a huge tolerance;
-# they measure this machine).
+# constellation throughput floor under --assert-throughput, and any
+# health-plane alert divergence, missed detection, or overhead-budget
+# breach, all of which fail the bench itself). bench_prof --verify
+# guards the CPU profiling plane's determinism contract (byte-identical
+# journal/series/metrics with profiling on vs off at 1/4/16 threads)
+# and its overhead ceiling, and the bench_dataplane run also captures
+# a profile whose span table — exact call counts per instrumented
+# span — is diffed against bench/baselines/prof.spans.json (span costs
+# get a huge tolerance; they measure this machine).
 #
 # Usage:
 #   scripts/check_regressions.sh [--build-dir DIR] [--rebaseline]
@@ -110,21 +108,13 @@ echo "[check_regressions] running bench_ml_kernels ..."
     --telemetry-out "$WORKDIR/ml_kernels.metrics.json" \
     > /dev/null)
 
-# bench_dataplane exits non-zero if any staged configuration's report
-# diverges from the batch path (bit-identity) or the steady-state
-# allocation guard counts a heap allocation, so this run is the data
-# plane's correctness smoke as well as the perf probe; no
-# --assert-speedup here for the same reason as ml_kernels above.
-# --profile-out arms the CPU profiling plane for this run; its span
-# table (exact per-span call counts) is diffed against the committed
-# prof.spans.json below. Safe inside the bench's steady-state
-# allocation guard: span sites register (and allocate) on first hit,
-# during warmup. The run goes through the int8 inference path
-# (KODAN_QUANT=int8) so the committed span table covers
-# ml.kernels.gemm_i8 and the staged-vs-batch bit-identity check
-# exercises the quantized kernels; the int8 path is likewise
-# allocation-free at steady state (scratch-arena workspaces, weights
-# packed at construction).
+# bench_dataplane times the deployed runtime (Runtime::processFrames);
+# its runtime counters are diffed against the committed
+# dataplane.metrics.json below. --profile-out arms the CPU profiling
+# plane for this run; its span table (exact per-span call counts) is
+# diffed against the committed prof.spans.json below. The run goes
+# through the int8 inference path (KODAN_QUANT=int8) so the committed
+# span table covers ml.kernels.gemm_i8.
 echo "[check_regressions] running bench_dataplane (KODAN_QUANT=int8) ..."
 (cd "$WORKDIR" && KODAN_QUANT=int8 "$DATAPLANE_BENCH" \
     --telemetry-out "$WORKDIR/dataplane.metrics.json" \

@@ -41,7 +41,7 @@ while [[ $# -gt 0 ]]; do
 done
 
 # ctest ANDs repeated -L flags, so the label filter must be one regex.
-LABELS='parallel|telemetry|journal|report|timeseries|mlkernels|constellation|dataplane|health|prof'
+LABELS='parallel|telemetry|journal|report|timeseries|mlkernels|constellation|health|prof'
 
 echo "[ci] tier-1: configure + build + full ctest (jobs=$JOBS)"
 cmake -B "$REPO_ROOT/build" -S "$REPO_ROOT"
@@ -55,12 +55,12 @@ if [[ "$SKIP_SANITIZERS" -eq 1 ]]; then
 fi
 
 # Suites whose dispatch changes under the int8 precision knob: the
-# kernel equivalence grid itself plus the runtime/data-plane paths that
-# route inference through the quantized siblings. Rerun under
+# kernel equivalence grid itself plus the runtime paths that route
+# inference through the quantized siblings. Rerun under
 # KODAN_QUANT=int8 so the integer kernels' concurrency (scratch arenas,
-# packed-weight sharing, staged rings) gets the same sanitizer coverage
-# as the fp64 path.
-QUANT_LABELS='mlkernels|dataplane|parallel'
+# packed-weight sharing) gets the same sanitizer coverage as the fp64
+# path.
+QUANT_LABELS='mlkernels|parallel'
 
 sanitized_pass() {
     local kind="$1" dir="$2"

@@ -42,7 +42,7 @@ Runtime::stageTileClassify(const data::FrameSample &frame,
 {
     work.frame = &frame;
     const data::Tiler tiler(logic_.tiles_per_side);
-    tiler.tileInto(frame, work.tiles);
+    tiler.statsInto(frame, work.tiles);
     // One batched engine forward over the frame's tiles; identical
     // context ids to the per-tile classify calls.
     engine_->classifyBatch(work.tiles, work.contexts);
@@ -52,21 +52,10 @@ Runtime::stageTileClassify(const data::FrameSample &frame,
 }
 
 void
-Runtime::stageTileClassifyLazy(const data::FrameSample &frame,
-                               FrameWork &work) const
-{
-    work.frame = &frame;
-    const data::Tiler tiler(logic_.tiles_per_side);
-    tiler.statsInto(frame, work.tiles);
-    engine_->classifyBatch(work.tiles, work.contexts);
-    work.keep.resize(work.tiles.size() * data::kBlocksPerTile);
-}
-
-void
 Runtime::stageInferTile(FrameWork &work, std::size_t t) const
 {
-    // Lazily-tiled frames (stageTileClassifyLazy) materialize the
-    // block grid only here, for exactly the modeled tiles.
+    // stageTileClassify tiles lazily: the block grid is materialized
+    // only here, for exactly the modeled tiles.
     if (work.tiles[t].block_features.empty()) {
         data::Tiler::decimate(work.tiles[t]);
     }

@@ -46,27 +46,24 @@ struct FrameReport
 };
 
 /**
- * Reusable per-frame working state shared by the batch path
- * (Runtime::processFrame) and the staged pipeline data plane
- * (src/pipeline/): every buffer a frame needs on its way through the
- * stages. Capacities persist across frames, so a recycled FrameWork
- * re-processes a new frame without heap allocation in steady state —
- * the arena-resident frame slots of the pipeline are FrameWork
- * instances recycled through a freelist ring.
+ * Per-frame working state: every buffer a frame needs on its way
+ * through the stage entry points (stageTileClassify -> stageInferTile
+ * -> stageElide -> stageRecord).
  */
 struct FrameWork
 {
     /** The frame being processed (non-owning). */
     const data::FrameSample *frame = nullptr;
-    /** Decimated tiles (filled by stageTileClassify). */
+    /** Tiles (filled by stageTileClassify with statistics only; block
+     *  arrays are decimated on demand by stageInferTile). */
     std::vector<data::TileData> tiles;
     /** Context id per tile (filled by stageTileClassify). */
     std::vector<int> contexts;
     /**
      * Keep/drop decision per (tile, block): tiles.size() *
      * data::kBlocksPerTile entries, tile-major (filled by
-     * stageInferTile / the pipeline's burst infer stage for modeled
-     * tiles; entries of elided tiles are unused).
+     * stageInferTile for modeled tiles; entries of elided tiles are
+     * unused).
      */
     std::vector<std::uint8_t> keep;
     /** The frame's finished report (filled by stageElide). */
@@ -78,10 +75,8 @@ struct FrameWork
  *
  * The per-frame work is factored into stage entry points
  * (stageTileClassify -> stageInferTile -> stageElide -> stageRecord)
- * so the staged pipeline data plane (pipeline::PipelineRuntime) runs
- * the exact same implementation — and therefore produces bit-identical
- * FrameReport, journal, and metric output — while scheduling the
- * stages differently (rings, bursts, cross-frame batched inference).
+ * that processFrame runs in order, so callers that time or trace the
+ * stages separately run the exact same implementation.
  */
 class Runtime
 {
@@ -131,41 +126,33 @@ class Runtime
                                        const FrameReport &b,
                                        std::size_t frames_b);
 
-    /* -- Stage entry points (shared with pipeline::PipelineRuntime) -- */
+    /* -- Stage entry points -- */
 
     /**
-     * Stage 1, capture -> tile/classify: tile @p frame (reusing
-     * @p work's buffers) and label every tile's context with one
-     * batched engine forward pass.
+     * Stage 1, capture -> tile/classify, tiled lazily: compute each
+     * tile's statistics (reusing @p work's buffers) and label every
+     * tile's context with one batched engine forward pass, but skip
+     * block decimation (classification reads only the tile-level
+     * mean/stddev), leaving each tile's block arrays empty.
+     * stageInferTile decimates exactly the modeled tiles on demand
+     * (data::Tiler::decimate), so elided tiles never pay the
+     * decimation pass. The output is bit-identical to eager tiling
+     * (data::Tiler::tileInto): elide and record read no block data,
+     * and on-demand decimation runs the same code as the eager path.
      */
     void stageTileClassify(const data::FrameSample &frame,
                            FrameWork &work) const;
 
     /**
-     * Lazy variant of stageTileClassify: computes tile statistics and
-     * context ids but skips block decimation (classification reads
-     * only the tile-level mean/stddev), leaving each tile's block
-     * arrays empty. The infer stage decimates exactly the modeled
-     * tiles on demand (data::Tiler::decimate); elided tiles never pay
-     * the decimation pass. Downstream output is bit-identical: the
-     * elide and record stages read no block data, and on-demand
-     * decimation runs the same code as the eager path.
-     */
-    void stageTileClassifyLazy(const data::FrameSample &frame,
-                               FrameWork &work) const;
-
-    /**
-     * Stage 2, specialize/infer (per-tile form): run modeled tile
-     * @p t's specialized model over its block batch and write the
-     * keep/drop decisions into work.keep. Only valid for tiles whose
-     * action is RunModel. The pipeline's burst form batches the rows
-     * of many tiles (grouped by model) through one forwardBatch call
-     * instead — bit-identical, since rows are independent.
+     * Stage 2, specialize/infer: decimate modeled tile @p t if it has
+     * no block arrays yet, run its specialized model over its block
+     * batch, and write the keep/drop decisions into work.keep. Only
+     * valid for tiles whose action is RunModel.
      */
     void stageInferTile(FrameWork &work, std::size_t t) const;
 
-    /** Keep/drop rule shared by both infer forms: keep iff the model's
-     *  cloud probability is below 0.5. */
+    /** Keep/drop rule: keep iff the model's cloud probability is below
+     *  0.5. */
     static void keepFromProbs(const double *probs, std::size_t count,
                               std::uint8_t *keep);
 

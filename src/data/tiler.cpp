@@ -130,8 +130,8 @@ tileStats(TileData &tile)
  * identical per-cell accumulation order (so the values are
  * bit-identical), skipping the truth-derived training bookkeeping
  * (terrain mix, cloud count, brightness/texture sums). Those fields
- * are zeroed, never left stale, because tiles recycle through arena
- * slots.
+ * are zeroed, never left stale, because a reused tile vector keeps
+ * its previous frame's values.
  */
 void
 tileRuntimeStats(TileData &tile)

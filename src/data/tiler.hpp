@@ -117,8 +117,7 @@ class Tiler
      *
      * Identical output to tile(); the vector (and each element's heap
      * buffers) is recycled in place, so a warmed vector is re-tiled
-     * without heap allocation — the arena-resident frame path of the
-     * pipeline data plane depends on this.
+     * without heap allocation.
      */
     void tileInto(const FrameSample &frame,
                   std::vector<TileData> &tiles) const;
@@ -134,8 +133,9 @@ class Tiler
      * statistics, and the elide/record stages read the frame's truth
      * masks directly, never these tile fields. decimate() then
      * materializes the block grid of exactly the tiles that reach the
-     * model — the data plane's lazy tiling: elided tiles never pay
-     * the decimation pass, and the truth bookkeeping of the training
+     * model — the deployed runtime's lazy tiling
+     * (core::Runtime::stageTileClassify): elided tiles never pay the
+     * decimation pass, and the truth bookkeeping of the training
      * path is skipped entirely.
      */
     void statsInto(const FrameSample &frame,

@@ -51,8 +51,8 @@ enum class Precision
  * environment variable ("int8", "1", or "on" — anything else means
  * fp64) overrides the default, and setPrecision() overrides both.
  * Consulted at dispatch time by SpecializedZoo::predictRows and
- * friends, so flipping it redirects the runtime, the pipeline infer
- * stage, and the selection sweep together.
+ * friends, so flipping it redirects the runtime and the selection
+ * sweep together.
  */
 Precision precision();
 

@@ -12,6 +12,7 @@
 #include <mutex>
 #include <set>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include <signal.h>
@@ -221,17 +222,16 @@ siblingPathFor(const std::string &path, const char *sibling)
     return path + sibling;
 }
 
-#if KODAN_PROF_HAVE_SAMPLER
+} // namespace
 
-/** Return-address -> display name. backtrace() records the address
- *  after the call, so look up pc-1 to land inside the call site. ';'
- *  is the folded-stack separator, so it is scrubbed from names. */
 std::string
-symbolizePc(std::uintptr_t pc)
+symbolizeFrame(std::uintptr_t pc, bool leaf)
 {
+#if KODAN_PROF_HAVE_SAMPLER
     std::string name;
     Dl_info info{};
-    const void *lookup = reinterpret_cast<const void *>(pc - 1);
+    const void *lookup =
+        reinterpret_cast<const void *>(leaf ? pc : pc - 1);
     if (dladdr(lookup, &info) != 0 && info.dli_sname != nullptr) {
         int status = -1;
         char *demangled = abi::__cxa_demangle(info.dli_sname, nullptr,
@@ -256,11 +256,13 @@ symbolizePc(std::uintptr_t pc)
     }
     std::replace(name.begin(), name.end(), ';', ':');
     return name;
+#else
+    (void)leaf;
+    std::ostringstream os;
+    os << "0x" << std::hex << pc;
+    return os.str();
+#endif
 }
-
-#endif // KODAN_PROF_HAVE_SAMPLER
-
-} // namespace
 
 bool
 samplerSupported()
@@ -419,7 +421,9 @@ snapshotProfile()
         }
     }
 
-    std::map<std::uintptr_t, std::string> symbols;
+    // Keyed by (pc, leaf): the same address names a different site as
+    // an interrupted pc than as a return address.
+    std::map<std::pair<std::uintptr_t, bool>, std::string> symbols;
     std::map<std::string, FrameStat> frames;
     for (const auto &[pcs, count] : pc_stacks) {
         ProfileStack stack;
@@ -428,10 +432,14 @@ snapshotProfile()
         // and the frame table want root-first.
         stack.frames.reserve(pcs.size());
         for (auto it = pcs.rbegin(); it != pcs.rend(); ++it) {
-            auto cached = symbols.find(*it);
+            const std::pair<std::uintptr_t, bool> key{
+                *it, it + 1 == pcs.rend()};
+            auto cached = symbols.find(key);
             if (cached == symbols.end()) {
-                cached =
-                    symbols.emplace(*it, symbolizePc(*it)).first;
+                cached = symbols
+                             .emplace(key, symbolizeFrame(key.first,
+                                                          key.second))
+                             .first;
             }
             stack.frames.push_back(cached->second);
         }

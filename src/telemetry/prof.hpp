@@ -79,6 +79,15 @@ void stopSampler();
  */
 void registerThisThread();
 
+/**
+ * Display name of one sampled frame (dladdr + demangle, else
+ * module+offset hex). A @p leaf pc is the interrupted instruction and
+ * is looked up as-is; every other frame is a return address, which
+ * points just past its call, so pc-1 is looked up to land inside the
+ * calling function. ';' (the folded-stack separator) is scrubbed.
+ */
+std::string symbolizeFrame(std::uintptr_t pc, bool leaf);
+
 /** One aggregated call stack, root first. */
 struct ProfileStack
 {

@@ -123,7 +123,6 @@ void resetAll();
 #define KODAN_TRACE_SPAN(name_) ((void)0)
 #define KODAN_PROF_COUNTERS_SCOPE(name_) ((void)0)
 #define KODAN_TRACE_SCOPE(name_) ((void)0)
-#define KODAN_PROFILE_SCOPE(name_) ((void)0)
 
 #else
 
@@ -238,16 +237,12 @@ void resetAll();
 /**
  * The full stage-attribution scope: wall-clock timer + trace span +
  * per-span hardware counters under one name. This is the macro for
- * stage/phase boundaries (engines, pipeline stages, ML kernels).
+ * stage/phase boundaries (engines, runtime stages, ML kernels).
  */
 #define KODAN_TRACE_SCOPE(name_)                                           \
     KODAN_TIME_SCOPE(name_);                                               \
     KODAN_TRACE_SPAN(name_);                                               \
     KODAN_PROF_COUNTERS_SCOPE(name_)
-
-/** Deprecated alias for KODAN_TRACE_SCOPE (one release): the name now
- *  belongs to the profiler namespace (KODAN_PROF, prof.hpp). */
-#define KODAN_PROFILE_SCOPE(name_) KODAN_TRACE_SCOPE(name_)
 
 #endif // KODAN_TELEMETRY_DISABLED
 

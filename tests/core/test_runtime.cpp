@@ -4,11 +4,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "core/runtime.hpp"
+#include "data/tiler.hpp"
 #include "fixture.hpp"
+#include "ml/quant.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace kodan::core {
 namespace {
@@ -280,6 +284,140 @@ TEST(Runtime, MergeAggregatesIsCountWeightedAssociativeUnderRandomSplits)
                     1e-11);
         EXPECT_NEAR(merged.product_high_fraction,
                     flat.product_high_fraction, 1e-11);
+    }
+}
+
+// ---------------------------------------------------------------------
+// The runtime tiles lazily (statistics + classification first, block
+// decimation only for modeled tiles). Its reports must be bit-identical
+// to an eager oracle that decimates every tile up front, for every
+// paper tile count, in both numeric paths, at any thread count.
+
+/** A logic that exercises every action kind and several zoo models. */
+SelectionLogic
+mixedLogic(const SharedPipeline &pipeline, int tiles_per_side)
+{
+    const int contexts = pipeline.shared.partition.context_count;
+    const int models = static_cast<int>(pipeline.app4.zoo.entries.size());
+    SelectionLogic logic;
+    logic.tiles_per_side = tiles_per_side;
+    for (int c = 0; c < contexts; ++c) {
+        Action action;
+        switch (c % 4) {
+          case 0:
+            action.kind = ActionKind::Discard;
+            break;
+          case 1:
+            action.kind = ActionKind::Downlink;
+            break;
+          default:
+            action.kind = ActionKind::RunModel;
+            action.model = c % models;
+            break;
+        }
+        logic.per_context.push_back(action);
+    }
+    return logic;
+}
+
+/** Eager oracle: every tile decimated by Tiler::tileInto before the
+ *  infer and elide stages run. */
+FrameReport
+eagerReport(const Runtime &runtime, const ContextEngine &engine,
+            const data::FrameSample &frame)
+{
+    FrameWork work;
+    work.frame = &frame;
+    const data::Tiler tiler(runtime.logic().tiles_per_side);
+    tiler.tileInto(frame, work.tiles);
+    engine.classifyBatch(work.tiles, work.contexts);
+    work.keep.resize(work.tiles.size() * data::kBlocksPerTile);
+    for (std::size_t t = 0; t < work.tiles.size(); ++t) {
+        EXPECT_FALSE(work.tiles[t].block_features.empty());
+        if (runtime.logic().per_context[work.contexts[t]].kind ==
+            ActionKind::RunModel) {
+            runtime.stageInferTile(work, t);
+        }
+    }
+    runtime.stageElide(work);
+    return work.report;
+}
+
+void
+expectSameReport(const FrameReport &a, const FrameReport &b)
+{
+    EXPECT_EQ(a.compute_time, b.compute_time);
+    EXPECT_EQ(a.product_fraction, b.product_fraction);
+    EXPECT_EQ(a.product_high_fraction, b.product_high_fraction);
+    EXPECT_EQ(a.tiles_discarded, b.tiles_discarded);
+    EXPECT_EQ(a.tiles_downlinked, b.tiles_downlinked);
+    EXPECT_EQ(a.tiles_modeled, b.tiles_modeled);
+    EXPECT_EQ(a.cells.tp(), b.cells.tp());
+    EXPECT_EQ(a.cells.fp(), b.cells.fp());
+    EXPECT_EQ(a.cells.tn(), b.cells.tn());
+    EXPECT_EQ(a.cells.fn(), b.cells.fn());
+}
+
+TEST(Runtime, LazyTilingMatchesEagerOracleBitForBit)
+{
+    const auto &pipeline = SharedPipeline::instance();
+    const ContextEngine &engine = *pipeline.shared.engine;
+    for (const ml::Precision precision :
+         {ml::Precision::Fp64, ml::Precision::Int8}) {
+        const ml::PrecisionGuard precision_guard(precision);
+        for (const int side : {11, 6, 4, 3}) {
+            SCOPED_TRACE(std::to_string(side * side) + " tiles/frame, " +
+                         (precision == ml::Precision::Int8 ? "int8"
+                                                           : "fp64"));
+            const Runtime runtime(mixedLogic(pipeline, side), &engine,
+                                  &pipeline.app4.zoo, hw::Target::Orin15W);
+            if (precision == ml::Precision::Int8) {
+                // The int8 pass must really reach quantized siblings.
+                const auto &logic = runtime.logic().per_context;
+                EXPECT_TRUE(std::any_of(
+                    logic.begin(), logic.end(), [&](const Action &a) {
+                        return a.kind == ActionKind::RunModel &&
+                               pipeline.app4.zoo.entries[a.model]
+                                   .runsQuantized();
+                    }));
+            }
+            std::vector<FrameReport> oracle;
+            for (const auto &frame : pipeline.shared.val) {
+                oracle.push_back(eagerReport(runtime, engine, frame));
+                expectSameReport(runtime.processFrame(frame),
+                                 oracle.back());
+            }
+            const FrameReport expected = Runtime::aggregate(oracle);
+            ASSERT_GT(expected.tiles_modeled, 0);
+            ASSERT_GT(expected.tiles_discarded, 0);
+            ASSERT_GT(expected.tiles_downlinked, 0);
+            for (const int threads : {1, 4, 16}) {
+                SCOPED_TRACE(std::to_string(threads) + " threads");
+                util::setGlobalThreads(threads);
+                expectSameReport(
+                    runtime.processFrames(pipeline.shared.val), expected);
+            }
+            util::setGlobalThreads(0);
+        }
+    }
+}
+
+TEST(Runtime, TileClassifyLeavesBlocksForTheInferStage)
+{
+    const auto &pipeline = SharedPipeline::instance();
+    const Runtime runtime(mixedLogic(pipeline, 6),
+                          pipeline.shared.engine.get(), &pipeline.app4.zoo,
+                          hw::Target::Orin15W);
+    FrameWork work;
+    runtime.stageTileClassify(pipeline.shared.val.front(), work);
+    ASSERT_EQ(work.tiles.size(), 36u);
+    for (std::size_t t = 0; t < work.tiles.size(); ++t) {
+        EXPECT_TRUE(work.tiles[t].block_features.empty());
+        if (runtime.logic().per_context[work.contexts[t]].kind ==
+            ActionKind::RunModel) {
+            runtime.stageInferTile(work, t);
+            EXPECT_FALSE(work.tiles[t].block_features.empty());
+        }
     }
 }
 

@@ -139,7 +139,7 @@ TEST(Tiler, LazyStatsAndDecimateMatchEagerTilingBitExactly)
 
     // Warm the lazy vector with an eager pass first so statsInto must
     // overwrite recycled state (populated block arrays, truth fields),
-    // as arena slots do in the pipeline.
+    // as it must for any caller that reuses its tile vector.
     std::vector<TileData> lazy;
     tiler.tileInto(frame, lazy);
     tiler.statsInto(frame, lazy);

@@ -177,12 +177,14 @@ TEST(Journal, RuntimeBatchJournalBytesInvariantToThreadCount)
     EXPECT_NE(serial.find("runtime.batch.begin"), std::string::npos);
     EXPECT_NE(serial.find("runtime.frame.decision"), std::string::npos);
     EXPECT_NE(serial.find("runtime.frame.elision"), std::string::npos);
-    clearJournal();
 
-    util::setGlobalThreads(7);
-    runtime.processFrames(pipeline.shared.val);
-    const std::string parallel = exportJournal();
-    EXPECT_EQ(serial, parallel);
+    for (const int threads : {4, 7, 16}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        clearJournal();
+        util::setGlobalThreads(threads);
+        runtime.processFrames(pipeline.shared.val);
+        EXPECT_EQ(exportJournal(), serial);
+    }
 #endif
 }
 

@@ -4,7 +4,8 @@
  * forced open failures (ENOSYS, EACCES) still yields well-formed span
  * tables marked `source: "rusage"`; span counters accumulate exactly
  * across threads; the sampling profiler produces parseable folded
- * stacks; and the profile diff ranks a pessimized kernel first and
+ * stacks; sampled frames symbolize to the right function, leaf pcs
+ * included; and the profile diff ranks a pessimized kernel first and
  * gates on call-count/cost drift.
  */
 
@@ -23,6 +24,15 @@
 #include "telemetry/telemetry.hpp"
 
 namespace kodan::telemetry::prof {
+
+/** Symbolization probe: external linkage, so the executable exports it
+ *  (-rdynamic) and dladdr can name its entry address. */
+__attribute__((noinline)) int
+profLeafProbe(int x)
+{
+    return x * 3 + 1;
+}
+
 namespace {
 
 namespace report = kodan::telemetry::report;
@@ -305,6 +315,24 @@ TEST(ProfDiff, WideCostToleranceAbsorbsMachineDrift)
     // Ranking still surfaces the slowdown even when tolerated.
     ASSERT_FALSE(diff.spans.empty());
     EXPECT_EQ(diff.spans.front().name, "ml.kernels.gemm");
+}
+
+TEST(ProfSymbols, LeafPcAtFunctionEntryNamesThatFunction)
+{
+#if !defined(__linux__)
+    GTEST_SKIP() << "symbolization needs dladdr";
+#else
+    EXPECT_EQ(profLeafProbe(1), 4);
+    const auto entry = reinterpret_cast<std::uintptr_t>(&profLeafProbe);
+    // An interrupted pc at the first instruction is looked up as-is...
+    EXPECT_NE(symbolizeFrame(entry, true).find("profLeafProbe"),
+              std::string::npos)
+        << symbolizeFrame(entry, true);
+    // ...while a return address is looked up at pc-1, inside its caller.
+    EXPECT_NE(symbolizeFrame(entry + 1, false).find("profLeafProbe"),
+              std::string::npos)
+        << symbolizeFrame(entry + 1, false);
+#endif
 }
 
 } // namespace
