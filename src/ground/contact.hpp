@@ -31,8 +31,21 @@ struct ContactWindow
 };
 
 /**
- * Finds elevation-mask contact windows by coarse sampling plus bisection
- * refinement of the rise/set crossings.
+ * Finds elevation-mask contact windows with a satellite-major sweep.
+ *
+ * Each satellite is propagated once per coarse grid step, on the
+ * accumulated t0 + k*step grid (clamped to t1), and every station's scan
+ * reads that shared trajectory. A station's scan strides over grid cells
+ * while the satellite is provably outside its visibility cone: with the
+ * geocentric separation at theta and the cone's safe half-angle at
+ * lambda, an upper bound r on the angular rate keeps the satellite out
+ * of view for (theta - lambda) / r seconds. A rise or set seen between
+ * two samples is refined to ~1 ms by predict-then-verify bisection,
+ * which returns the same instant, bit for bit, as plain bisection of
+ * the coarse bracket.
+ *
+ * find(), findAll() and findAllParallel() run the same per-satellite
+ * scan, so their windows are bit-identical to one another.
  */
 class ContactFinder
 {
@@ -44,7 +57,8 @@ class ContactFinder
     explicit ContactFinder(double coarse_step = 30.0);
 
     /**
-     * All contact windows of one satellite with one station in [t0, t1].
+     * All contact windows of one satellite with one station in [t0, t1]
+     * (the one-station case of the sweep).
      *
      * @param sat Propagator of the satellite.
      * @param station Ground station (elevation mask applied).
@@ -56,26 +70,9 @@ class ContactFinder
                                     double t0, double t1) const;
 
     /**
-     * Adaptive-stride variant of find(): bit-identical windows, far
-     * fewer propagator evaluations.
-     *
-     * While the satellite is provably outside the station's visibility
-     * cone, the scan strides ahead by whole grid cells: with the
-     * geocentric separation at theta and the cone's safe half-angle at
-     * lambda, the angular rate bound r (perigee true-anomaly rate plus
-     * Earth spin and J2 precession) guarantees the satellite stays out
-     * of view for (theta - lambda) / r seconds, so every skipped sample
-     * is provably below the mask. Samples stay on the same accumulated
-     * t0 + k*step grid as find(), so rise/set brackets — and therefore
-     * the refined window edges — are bit-identical.
-     */
-    std::vector<ContactWindow> findAdaptive(const orbit::J2Propagator &sat,
-                                            const GroundStation &station,
-                                            double t0, double t1) const;
-
-    /**
      * All windows of a constellation against a ground segment, with
-     * station/satellite indices filled in, sorted by start time.
+     * station/satellite indices filled in, sorted by start time. Serial:
+     * satellites are scanned in index order on the caller's thread.
      */
     std::vector<ContactWindow>
     findAll(const std::vector<orbit::J2Propagator> &sats,
@@ -83,12 +80,11 @@ class ContactFinder
             double t1) const;
 
     /**
-     * Parallel adaptive sweep: fans the (satellite, station) pairs out
-     * over the global thread pool, each pair scanned with
-     * findAdaptive(). Pair results are concatenated in (satellite,
-     * station) index order before the same start-time sort findAll()
-     * applies, so the output — windows, counters, and journal events —
-     * is bit-identical to findAll() at any KODAN_THREADS.
+     * findAll() with the satellites fanned out over the global thread
+     * pool. Per-satellite results are concatenated in satellite index
+     * order before the same start-time sort, so the output — windows,
+     * counters, and journal events — is bit-identical to findAll() at
+     * any KODAN_THREADS.
      */
     std::vector<ContactWindow>
     findAllParallel(const std::vector<orbit::J2Propagator> &sats,
@@ -98,10 +94,10 @@ class ContactFinder
   private:
     double coarse_step_;
 
-    /** Refine an elevation-mask crossing to ~1 ms by bisection. */
-    static double refineCrossing(const orbit::J2Propagator &sat,
-                                 const GroundStation &station, double lo,
-                                 double hi, bool rising);
+    std::vector<ContactWindow>
+    sweep(const std::vector<orbit::J2Propagator> &sats,
+          const std::vector<GroundStation> &stations, double t0, double t1,
+          bool parallel) const;
 };
 
 /** Total seconds of contact in a window list. */

@@ -33,26 +33,6 @@ envPrecision()
  *  int32 for every k this codebase can produce (see kernels.hpp). */
 constexpr std::int32_t kBiasClamp = std::int32_t{1} << 30;
 
-/**
- * Input/weight quantization rounding: round half away from zero
- * (matching requantize()'s tie rule), computed as truncate(s +/- 0.5)
- * with a saturating clamp — branch-free so the per-sample input
- * quantization loop vectorizes (llround compiled to a libm call per
- * element and dominated the whole quantized forward). The +/-0.5 form
- * can differ from llround by one ulp of double rounding at
- * representation boundaries; either way it is a fixed deterministic
- * rule, which is all the bit-identity contract needs.
- */
-inline std::int8_t
-quantizeValue(double v, double inv_scale)
-{
-    double s = v * inv_scale;
-    s = s > 127.0 ? 127.0 : s;
-    s = s < -127.0 ? -127.0 : s;
-    return static_cast<std::int8_t>(
-        static_cast<std::int32_t>(s + std::copysign(0.5, s)));
-}
-
 double
 sigmoid(double z)
 {

@@ -28,6 +28,7 @@
 #ifndef KODAN_ML_QUANT_HPP
 #define KODAN_ML_QUANT_HPP
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -71,6 +72,28 @@ class PrecisionGuard
   private:
     Precision saved_;
 };
+
+/**
+ * Input/weight quantization of one value to int8: v * inv_scale
+ * saturated to [-127, 127], rounded half away from zero (matching
+ * requantize()'s tie rule), computed as truncate(s +/- 0.5) — no libm
+ * call (llround compiled to one per element and dominated the whole
+ * quantized forward). The +/-0.5 form can differ from llround by one
+ * ulp of double rounding at representation boundaries; either way it is
+ * a fixed deterministic rule, which is all the bit-identity contract
+ * needs. NaN maps to 0 through a select (NaN passes both clamps, and
+ * its int32 conversion would be undefined); +/-inf saturate.
+ */
+inline std::int8_t
+quantizeValue(double v, double inv_scale)
+{
+    double s = v * inv_scale;
+    s = s > 127.0 ? 127.0 : s;
+    s = s < -127.0 ? -127.0 : s;
+    s = s == s ? s : 0.0;
+    return static_cast<std::int8_t>(
+        static_cast<std::int32_t>(s + std::copysign(0.5, s)));
+}
 
 /**
  * Immutable int8 inference sibling of a trained Mlp. Construction

@@ -24,15 +24,16 @@ J2Propagator::J2Propagator(const OrbitalElements &elements)
     const double p = a * (1.0 - e * e); // semi-latus rectum
     const double re_p = kEarthRadius / p;
     const double j2_term = 1.5 * kEarthJ2 * re_p * re_p;
-    const double cos_i = std::cos(i);
-    const double sin_i = std::sin(i);
+    cos_i_ = std::cos(i);
+    sin_i_ = std::sin(i);
 
     // Standard secular J2 rates (Vallado, ch. 9).
-    raan_rate_ = -j2_term * n0 * cos_i;
-    argp_rate_ = j2_term * n0 * (2.0 - 2.5 * sin_i * sin_i);
+    raan_rate_ = -j2_term * n0 * cos_i_;
+    argp_rate_ = j2_term * n0 * (2.0 - 2.5 * sin_i_ * sin_i_);
     const double eta = std::sqrt(1.0 - e * e);
     mean_motion_ =
-        n0 * (1.0 + j2_term * eta * (1.0 - 1.5 * sin_i * sin_i));
+        n0 * (1.0 + j2_term * eta * (1.0 - 1.5 * sin_i_ * sin_i_));
+    a_eta_ = a * eta;
 }
 
 double
@@ -43,58 +44,67 @@ J2Propagator::nodalPeriod() const
     return kTwoPi / (mean_motion_ + argp_rate_);
 }
 
-StateEci
-J2Propagator::stateAt(double t) const
+J2Propagator::Orientation
+J2Propagator::orientationAt(double t) const
 {
-    const double a = elements_.semi_major_axis;
-    const double e = elements_.eccentricity;
-    const double i = elements_.inclination;
-
     const double mean_anom =
         util::wrapTwoPi(elements_.mean_anomaly + mean_motion_ * t);
     const double raan = util::wrapTwoPi(elements_.raan + raan_rate_ * t);
     const double argp =
         util::wrapTwoPi(elements_.arg_perigee + argp_rate_ * t);
 
-    const double e_anom = solveKepler(mean_anom, e);
-    const double cos_e = std::cos(e_anom);
-    const double sin_e = std::sin(e_anom);
-    const double eta = std::sqrt(1.0 - e * e);
-
-    // Perifocal coordinates.
-    const double x_pf = a * (cos_e - e);
-    const double y_pf = a * eta * sin_e;
-    const double e_anom_rate = mean_motion_ / (1.0 - e * cos_e);
-    const double vx_pf = -a * sin_e * e_anom_rate;
-    const double vy_pf = a * eta * cos_e * e_anom_rate;
+    const double e_anom = solveKepler(mean_anom, elements_.eccentricity);
 
     // Rotate perifocal -> ECI: Rz(raan) * Rx(i) * Rz(argp).
     const double cr = std::cos(raan);
     const double sr = std::sin(raan);
-    const double ci = std::cos(i);
-    const double si = std::sin(i);
     const double ca = std::cos(argp);
     const double sa = std::sin(argp);
 
-    const double r11 = cr * ca - sr * sa * ci;
-    const double r12 = -cr * sa - sr * ca * ci;
-    const double r21 = sr * ca + cr * sa * ci;
-    const double r22 = -sr * sa + cr * ca * ci;
-    const double r31 = sa * si;
-    const double r32 = ca * si;
+    Orientation o;
+    o.cos_e = std::cos(e_anom);
+    o.sin_e = std::sin(e_anom);
+    o.r11 = cr * ca - sr * sa * cos_i_;
+    o.r12 = -cr * sa - sr * ca * cos_i_;
+    o.r21 = sr * ca + cr * sa * cos_i_;
+    o.r22 = -sr * sa + cr * ca * cos_i_;
+    o.r31 = sa * sin_i_;
+    o.r32 = ca * sin_i_;
+    return o;
+}
+
+Vec3
+J2Propagator::positionEci(const Orientation &o) const
+{
+    // Perifocal coordinates.
+    const double x_pf =
+        elements_.semi_major_axis * (o.cos_e - elements_.eccentricity);
+    const double y_pf = a_eta_ * o.sin_e;
+    return {o.r11 * x_pf + o.r12 * y_pf, o.r21 * x_pf + o.r22 * y_pf,
+            o.r31 * x_pf + o.r32 * y_pf};
+}
+
+StateEci
+J2Propagator::stateAt(double t) const
+{
+    const Orientation o = orientationAt(t);
+    const double e_anom_rate =
+        mean_motion_ / (1.0 - elements_.eccentricity * o.cos_e);
+    const double vx_pf = -elements_.semi_major_axis * o.sin_e * e_anom_rate;
+    const double vy_pf = a_eta_ * o.cos_e * e_anom_rate;
 
     StateEci state;
-    state.position = {r11 * x_pf + r12 * y_pf, r21 * x_pf + r22 * y_pf,
-                      r31 * x_pf + r32 * y_pf};
-    state.velocity = {r11 * vx_pf + r12 * vy_pf, r21 * vx_pf + r22 * vy_pf,
-                      r31 * vx_pf + r32 * vy_pf};
+    state.position = positionEci(o);
+    state.velocity = {o.r11 * vx_pf + o.r12 * vy_pf,
+                      o.r21 * vx_pf + o.r22 * vy_pf,
+                      o.r31 * vx_pf + o.r32 * vy_pf};
     return state;
 }
 
 Vec3
 J2Propagator::positionEcef(double t) const
 {
-    return eciToEcef(stateAt(t).position, t);
+    return eciToEcef(positionEci(orientationAt(t)), t);
 }
 
 Geodetic

@@ -57,7 +57,10 @@ class J2Propagator
     /** Inertial state at simulation time t (seconds since epoch). */
     StateEci stateAt(double t) const;
 
-    /** ECEF position at time t (convenience). */
+    /**
+     * ECEF position at time t. Position-only: skips the velocity, and
+     * bit-identical to eciToEcef(stateAt(t).position, t).
+     */
     Vec3 positionEcef(double t) const;
 
     /** Subsatellite geodetic point at time t (altitude = orbit height). */
@@ -71,10 +74,26 @@ class J2Propagator
     double groundTrackSpeed() const;
 
   private:
+    /** Eccentric anomaly and perifocal->ECI rotation at time t. */
+    struct Orientation
+    {
+        double cos_e, sin_e;
+        double r11, r12, r21, r22, r31, r32;
+    };
+
+    Orientation orientationAt(double t) const;
+
+    /** ECI position from an orientation (shared by stateAt and
+     *  positionEcef, so both round identically). */
+    Vec3 positionEci(const Orientation &o) const;
+
     OrbitalElements elements_;
     double mean_motion_; // rad/s, J2-corrected
     double raan_rate_;   // rad/s
     double argp_rate_;   // rad/s
+    double cos_i_;
+    double sin_i_;
+    double a_eta_; // a * sqrt(1 - e^2): perifocal y scale
 };
 
 } // namespace kodan::orbit

@@ -476,8 +476,7 @@ ConstellationEngine::run(const ConstellationConfig &config,
         // telemetry.self.health.fold_s total stays within budget.
         if (health_on) {
             KODAN_TIME_SCOPE("telemetry.self.health.fold_s");
-            telemetry::health::HealthPlane &plane =
-                telemetry::health::plane();
+            auto plane = telemetry::health::plane().batch();
             using telemetry::health::EntityKind;
             static const std::string sig_queue = "queue.depth_bits";
             static const std::string sig_down = "downlink.bits";
@@ -533,33 +532,56 @@ ConstellationEngine::run(const ConstellationConfig &config,
                                       state[s].journal_ord);
                 }
             }
-            std::map<std::pair<std::size_t, std::int64_t>, double>
-                station_granted;
+            // Granted station-seconds per (station, bin), flat over the
+            // bins the closed runs touch, observed in (station, bin)
+            // order.
+            std::int64_t bin_lo = std::numeric_limits<std::int64_t>::max();
+            std::int64_t bin_hi = std::numeric_limits<std::int64_t>::min();
             for (const auto &runs : closed) {
                 for (const auto &run : runs) {
-                    for (std::int64_t bin = binOf(run.start);
-                         static_cast<double>(bin) * bin_s < run.end;
-                         ++bin) {
-                        const double lo =
-                            std::max(run.start,
-                                     static_cast<double>(bin) * bin_s);
-                        const double hi = std::min(
-                            run.end,
-                            static_cast<double>(bin + 1) * bin_s);
-                        if (hi > lo) {
-                            station_granted[{run.station, bin}] +=
-                                hi - lo;
+                    bin_lo = std::min(bin_lo, binOf(run.start));
+                    bin_hi = std::max(bin_hi, binOf(run.end));
+                }
+            }
+            if (bin_lo <= bin_hi) {
+                const auto span =
+                    static_cast<std::size_t>(bin_hi - bin_lo + 1);
+                std::vector<double> station_granted(station_count * span,
+                                                    0.0);
+                for (const auto &runs : closed) {
+                    for (const auto &run : runs) {
+                        double *row = &station_granted[run.station * span];
+                        for (std::int64_t bin = binOf(run.start);
+                             static_cast<double>(bin) * bin_s < run.end;
+                             ++bin) {
+                            const double lo = std::max(
+                                run.start, static_cast<double>(bin) * bin_s);
+                            const double hi = std::min(
+                                run.end,
+                                static_cast<double>(bin + 1) * bin_s);
+                            if (hi > lo) {
+                                row[bin - bin_lo] += hi - lo;
+                            }
                         }
                     }
                 }
-            }
-            for (const auto &[key, seconds] : station_granted) {
-                plane.observe(EntityKind::Station,
-                              static_cast<std::int64_t>(key.first),
-                              sig_granted, key.second,
-                              static_cast<double>(key.second) * bin_s,
-                              seconds);
-                ++observations;
+                for (std::size_t g = 0; g < station_count; ++g) {
+                    for (std::size_t b = 0; b < span; ++b) {
+                        const double seconds =
+                            station_granted[g * span + b];
+                        if (seconds <= 0.0) {
+                            continue;
+                        }
+                        const std::int64_t bin =
+                            bin_lo + static_cast<std::int64_t>(b);
+                        plane.observe(EntityKind::Station,
+                                      static_cast<std::int64_t>(g),
+                                      sig_granted, bin,
+                                      static_cast<double>(bin) * bin_s,
+                                      seconds);
+                        ++observations;
+                    }
+                }
             }
             plane.advance(chunk_last_bin, chunk_t);
             KODAN_COUNT_ADD("telemetry.health.observations",

@@ -10,7 +10,7 @@
  * physical models around streaming:
  *
  *  - **Time chunks.** The horizon is processed in fixed chunks
- *    (default one day). Each chunk runs an adaptive-stride parallel
+ *    (default one day). Each chunk runs the satellite-major parallel
  *    contact sweep (ContactFinder::findAllParallel), advances the
  *    resumable incremental ground scheduler
  *    (GroundSegmentScheduler::allocateSpan), then simulates capture /

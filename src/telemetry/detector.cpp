@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "telemetry/exact_sum.hpp"
 
@@ -10,6 +11,12 @@ namespace kodan::telemetry::health {
 double
 detectorQuantize(double value)
 {
+    // From 2^-12 up to 2^63 every double is a whole multiple of 2^-64
+    // and inside the fixed-point range, so the round trip is exact.
+    const double magnitude = std::fabs(value);
+    if (magnitude >= 0x1p-12 && magnitude < 0x1p63) {
+        return value;
+    }
     return detail::fromFixed(detail::toFixed(value));
 }
 
@@ -61,17 +68,52 @@ RobustZScore::RobustZScore(const RobustZConfig &config) : config_(config)
         config_.window = 1;
     }
     window_.assign(config_.window, 0.0);
+    sorted_.reserve(config_.window);
 }
 
 namespace {
 
-/** Median of the first @p n entries of @p values (sorts in place). */
+/** Median of an ascending range. */
 double
-medianOf(std::vector<double> &values, std::size_t n)
+sortedMedian(const std::vector<double> &sorted)
 {
-    std::sort(values.begin(), values.begin() + static_cast<long>(n));
-    return n % 2 == 1 ? values[n / 2]
-                      : 0.5 * (values[n / 2 - 1] + values[n / 2]);
+    const std::size_t n = sorted.size();
+    return n % 2 == 1 ? sorted[n / 2]
+                      : 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]);
+}
+
+/**
+ * Median of |x - med| over an ascending range. The deviations ascend
+ * leftward below med and rightward above it, so merging the two runs
+ * outward from med reaches the middle order statistics in n/2 steps.
+ */
+double
+sortedMedianDeviation(const std::vector<double> &sorted, double med)
+{
+    const std::size_t n = sorted.size();
+    std::size_t left = static_cast<std::size_t>(
+        std::lower_bound(sorted.begin(), sorted.end(), med) -
+        sorted.begin());
+    std::size_t right = left;
+    double prev = 0.0;
+    double current = 0.0;
+    for (std::size_t rank = 0; rank <= n / 2; ++rank) {
+        prev = current;
+        const double down =
+            left > 0 ? std::fabs(sorted[left - 1] - med)
+                     : std::numeric_limits<double>::infinity();
+        const double up = right < n
+                              ? std::fabs(sorted[right] - med)
+                              : std::numeric_limits<double>::infinity();
+        if (down <= up) {
+            current = down;
+            --left;
+        } else {
+            current = up;
+            ++right;
+        }
+    }
+    return n % 2 == 1 ? current : 0.5 * (prev + current);
 }
 
 } // namespace
@@ -82,14 +124,9 @@ RobustZScore::step(double value)
     const double v = detectorQuantize(value);
     Verdict verdict;
     if (filled_ >= std::max<std::size_t>(config_.min_points, 2)) {
-        scratch_.assign(window_.begin(),
-                        window_.begin() + static_cast<long>(filled_));
-        const double med = medianOf(scratch_, filled_);
-        for (std::size_t i = 0; i < filled_; ++i) {
-            scratch_[i] = std::fabs(scratch_[i] - med);
-        }
+        const double med = sortedMedian(sorted_);
         // 1.4826 rescales MAD to the stddev of a normal distribution.
-        const double mad = medianOf(scratch_, filled_);
+        const double mad = sortedMedianDeviation(sorted_, med);
         const double scale = std::max(
             1.4826 * mad,
             config_.min_scale + config_.rel_scale * std::fabs(med));
@@ -98,6 +135,11 @@ RobustZScore::step(double value)
             verdict.anomalous = verdict.score > 1.0;
         }
     }
+    if (filled_ == config_.window) {
+        sorted_.erase(std::lower_bound(sorted_.begin(), sorted_.end(),
+                                       window_[next_]));
+    }
+    sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), v), v);
     window_[next_] = v;
     next_ = (next_ + 1) % config_.window;
     filled_ = std::min(filled_ + 1, config_.window);
@@ -108,6 +150,7 @@ void
 RobustZScore::reset()
 {
     std::fill(window_.begin(), window_.end(), 0.0);
+    sorted_.clear();
     next_ = 0;
     filled_ = 0;
 }
@@ -122,16 +165,18 @@ Flatline::Flatline(const FlatlineConfig &config) : config_(config)
 Verdict
 Flatline::step(double value)
 {
-    const detail::Fixed128 fixed = detail::toFixed(value);
-    const double v = detail::fromFixed(fixed);
-    if (run_ > 0 && fixed == detail::toFixed(last_)) {
+    // toFixed() keeps at most 53 significant bits (or saturates), so two
+    // values share a fixed-point pattern iff their quantized doubles are
+    // equal: comparing quantized doubles is exact fixed-point equality.
+    const double v = detectorQuantize(value);
+    if (run_ > 0 && v == last_) {
         ++run_;
     } else {
         run_ = 1;
         last_ = v;
     }
     Verdict verdict;
-    if (config_.ignore_zero && fixed == detail::Fixed128{}) {
+    if (config_.ignore_zero && v == 0.0) {
         return verdict;
     }
     verdict.score = static_cast<double>(run_) /

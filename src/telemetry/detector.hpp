@@ -132,7 +132,8 @@ class RobustZScore
     std::vector<double> window_; // ring buffer, size config_.window
     std::size_t next_ = 0;
     std::size_t filled_ = 0;
-    mutable std::vector<double> scratch_;
+    /** The filled_ window values in ascending order. */
+    std::vector<double> sorted_;
 };
 
 /** Tuning for Flatline. */

@@ -6,10 +6,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <ostream>
-#include <tuple>
 #include <utility>
 
 #include "telemetry/exact_sum.hpp"
@@ -30,15 +31,12 @@ number(double value)
     return buffer;
 }
 
-/** (kind, entity) — rollup key. */
+/** (kind, entity) — entity key. The ordered map keeps every sweep
+ *  (absence, snapshot) in a deterministic order. */
 using EntityKey = std::pair<int, std::int64_t>;
 
-/** (kind, entity, signal) — stream key. Ordered maps keep every sweep
- *  (absence, snapshot) in a deterministic order. */
-using StreamKey = std::tuple<int, std::int64_t, std::string>;
-
-/** (rule index, kind, entity) — alert state key. */
-using RuleKey = std::tuple<std::size_t, int, std::int64_t>;
+/** Last-bin marker of a stream that has not reported yet. */
+constexpr std::int64_t kNoBin = std::numeric_limits<std::int64_t>::min();
 
 struct RuleState
 {
@@ -72,6 +70,27 @@ struct Rollup
     JournalWindow lane;
 };
 
+/** Everything the plane keeps for one (kind, entity). */
+struct EntityState
+{
+    Rollup rollup;
+    /** Alert state per rule index, engaged on first evaluation. */
+    std::vector<std::optional<RuleState>> states;
+    /** Per signal slot: last bin the stream reported in while an Absence
+     *  rule watched it, kNoBin if never. */
+    std::vector<std::int64_t> last_bin;
+};
+
+/** An interned signal name and the rules that select it. */
+struct SignalSlot
+{
+    std::string name;
+    /** Indices of the rules on this signal, in rule order. */
+    std::vector<std::size_t> rules;
+    /** Watched by at least one Absence rule. */
+    bool absence = false;
+};
+
 } // namespace
 
 const char *
@@ -91,90 +110,81 @@ struct HealthPlane::Impl
     mutable std::mutex mutex;
     HealthConfig config;
     std::vector<AlertRule> rules;
-    /** Signals named by at least one Absence rule (deduped): only these
-     *  streams need last-bin bookkeeping, which keeps the per-signal
-     *  map update off the observe() hot path for everything else. */
-    std::vector<std::string> absence_signals;
-    std::map<EntityKey, Rollup> rollups;
-    std::map<RuleKey, RuleState> states;
-    /** Last bin each absence-watched stream reported in. */
-    std::map<StreamKey, std::int64_t> stream_last_bin;
+    /** Signals named by rules, interned at addRule. Slots are never
+     *  removed (only configure() clears the table), so per-entity
+     *  last_bin indices stay valid across clearRules(). */
+    std::vector<SignalSlot> signals;
+    std::map<EntityKey, EntityState> entities;
     std::vector<Alert> alerts;
     std::uint64_t next_alert_id = 1;
     std::int64_t observations = 0;
     std::int64_t alerts_fired = 0;
 
-    void rebuildAbsenceSignals()
+    /** One-entry memo for the observe() hot path: the engine folds feed
+     *  runs of consecutive observations for the same entity, and
+     *  node-based map values stay put, so a pointer memo skips the tree
+     *  walk. Cleared whenever the map is. */
+    EntityKey memo_key{-1, -1};
+    EntityState *memo_entity = nullptr;
+
+    std::size_t internSignal(const std::string &name)
     {
-        absence_signals.clear();
-        for (const AlertRule &rule : rules) {
-            if (rule.kind != AlertRule::Kind::Absence) {
-                continue;
+        for (std::size_t i = 0; i < signals.size(); ++i) {
+            if (signals[i].name == name) {
+                return i;
             }
-            bool seen = false;
-            for (const std::string &signal : absence_signals) {
-                if (signal == rule.signal) {
-                    seen = true;
-                    break;
-                }
+        }
+        signals.push_back({name, {}, false});
+        return signals.size() - 1;
+    }
+
+    /** Slot of @p name if any rule selects it, else nullptr. */
+    const SignalSlot *findSignal(const std::string &name) const
+    {
+        for (const SignalSlot &slot : signals) {
+            if (slot.name == name) {
+                return slot.rules.empty() ? nullptr : &slot;
             }
-            if (!seen) {
-                absence_signals.push_back(rule.signal);
-            }
+        }
+        return nullptr;
+    }
+
+    void rebindSignals()
+    {
+        for (SignalSlot &slot : signals) {
+            slot.rules.clear();
+            slot.absence = false;
+        }
+        for (std::size_t r = 0; r < rules.size(); ++r) {
+            SignalSlot &slot = signals[internSignal(rules[r].signal)];
+            slot.rules.push_back(r);
+            slot.absence =
+                slot.absence || rules[r].kind == AlertRule::Kind::Absence;
         }
     }
 
-    bool absenceWatched(const std::string &signal) const
-    {
-        for (const std::string &watched : absence_signals) {
-            if (watched == signal) {
-                return true;
-            }
-        }
-        return false;
-    }
-
-    /** One-entry memos for the observe() hot path: the engine folds
-     *  feed runs of consecutive observations for the same entity, and
-     *  node-based map values stay put, so a pointer memo skips the
-     *  tree walk. Cleared whenever the backing maps are. */
-    EntityKey memo_rollup_key{-1, -1};
-    Rollup *memo_rollup = nullptr;
-    RuleKey memo_state_key{0, -1, -1};
-    RuleState *memo_state = nullptr;
-
-    void dropMemos()
-    {
-        memo_rollup = nullptr;
-        memo_state = nullptr;
-    }
-
-    Rollup &rollupFor(EntityKind kind, std::int64_t entity)
+    EntityState &entityFor(EntityKind kind, std::int64_t entity)
     {
         const EntityKey key{static_cast<int>(kind), entity};
-        if (memo_rollup != nullptr && memo_rollup_key == key) {
-            return *memo_rollup;
+        if (memo_entity != nullptr && memo_key == key) {
+            return *memo_entity;
         }
-        Rollup &rollup = rollups[key];
-        memo_rollup_key = key;
-        memo_rollup = &rollup;
-        return rollup;
+        EntityState &state = entities[key];
+        memo_key = key;
+        memo_entity = &state;
+        return state;
     }
 
-    RuleState &stateFor(std::size_t rule_idx, EntityKind kind,
-                        std::int64_t entity)
+    RuleState &stateFor(EntityState &entity, std::size_t rule_idx)
     {
-        const RuleKey key{rule_idx, static_cast<int>(kind), entity};
-        if (memo_state != nullptr && memo_state_key == key) {
-            return *memo_state;
+        if (entity.states.size() <= rule_idx) {
+            entity.states.resize(rules.size());
         }
-        auto it = states.find(key);
-        if (it == states.end()) {
-            it = states.emplace(key, RuleState(config.detectors)).first;
+        std::optional<RuleState> &state = entity.states[rule_idx];
+        if (!state) {
+            state.emplace(config.detectors);
         }
-        memo_state_key = key;
-        memo_state = &it->second;
-        return it->second;
+        return *state;
     }
 
     /** Drive one rule's firing→resolved machine with one evaluation. */
@@ -273,7 +283,114 @@ struct HealthPlane::Impl
         }
     }
 
-    /** Evaluate the Absence rules against every known stream. */
+    void observe(EntityKind kind, std::int64_t entity,
+                 const std::string &signal, std::int64_t bin, double t_s,
+                 double value)
+    {
+        EntityState &ent = entityFor(kind, entity);
+        Rollup &rollup = ent.rollup;
+        ++rollup.observations;
+        rollup.last_bin = bin;
+        ++observations;
+        const SignalSlot *slot = findSignal(signal);
+        if (slot == nullptr) {
+            return;
+        }
+        const double v = detectorQuantize(value);
+        if (slot->absence) {
+            const auto index =
+                static_cast<std::size_t>(slot - signals.data());
+            if (ent.last_bin.size() <= index) {
+                ent.last_bin.resize(signals.size(), kNoBin);
+            }
+            ent.last_bin[index] = bin;
+        }
+
+        double worst_score = 0.0;
+        bool any_breach = false;
+        for (const std::size_t r : slot->rules) {
+            const AlertRule &rule = rules[r];
+            if (rule.kind == AlertRule::Kind::Absence) {
+                // A fresh observation is the absence rule's all-clear.
+                transition(rule, stateFor(ent, r), rollup, kind, entity,
+                           false, bin, t_s, v);
+                continue;
+            }
+            RuleState &state = stateFor(ent, r);
+            bool breach = false;
+            double score = 0.0;
+            switch (rule.kind) {
+              case AlertRule::Kind::Threshold:
+                breach = rule.op == AlertRule::Op::Gt ? v > rule.threshold
+                                                      : v < rule.threshold;
+                score = breach ? (rule.threshold != 0.0
+                                      ? std::fabs(v / rule.threshold)
+                                      : 1.0)
+                               : 0.0;
+                break;
+              case AlertRule::Kind::Rate: {
+                if (state.have_prev && bin > state.prev_bin) {
+                    const double rate =
+                        std::fabs(v - state.prev_value) /
+                        static_cast<double>(bin - state.prev_bin);
+                    breach = rate > rule.threshold;
+                    score = breach ? (rule.threshold != 0.0
+                                          ? rate / rule.threshold
+                                          : 1.0)
+                                   : 0.0;
+                }
+                state.have_prev = true;
+                state.prev_value = v;
+                state.prev_bin = bin;
+                break;
+              }
+              case AlertRule::Kind::Anomaly: {
+                Verdict verdict;
+                switch (rule.detector) {
+                  case AlertRule::Detector::Ewma:
+                    verdict = state.ewma.step(v);
+                    break;
+                  case AlertRule::Detector::Robust:
+                    verdict = state.robust.step(v);
+                    break;
+                  case AlertRule::Detector::Flatline:
+                    verdict = state.flatline.step(v);
+                    break;
+                }
+                breach = verdict.anomalous;
+                score = verdict.score;
+                break;
+              }
+              case AlertRule::Kind::Absence:
+                break;
+            }
+            transition(rule, state, rollup, kind, entity, breach, bin, t_s,
+                       v);
+            if (breach) {
+                any_breach = true;
+                worst_score = std::max(worst_score, score);
+            }
+        }
+        if (any_breach) {
+            ++rollup.anomalous;
+            detail::addFixed(rollup.score, detail::toFixed(worst_score));
+        }
+    }
+
+    void observeLane(EntityKind kind, std::int64_t entity,
+                     std::uint64_t region, std::uint64_t slot,
+                     std::uint32_t ord_lo, std::uint32_t ord_hi)
+    {
+        JournalWindow &lane = entityFor(kind, entity).rollup.lane;
+        if (lane.valid && lane.region == region && lane.slot == slot) {
+            lane.ord_lo = std::min(lane.ord_lo, ord_lo);
+            lane.ord_hi = std::max(lane.ord_hi, ord_hi);
+        } else {
+            lane = {region, slot, ord_lo, ord_hi, true};
+        }
+    }
+
+    /** Evaluate the Absence rules against every stream they watch. */
     void sweepAbsence(std::int64_t bin, double t_s)
     {
         for (std::size_t r = 0; r < rules.size(); ++r) {
@@ -281,17 +398,16 @@ struct HealthPlane::Impl
             if (rule.kind != AlertRule::Kind::Absence) {
                 continue;
             }
-            for (const auto &[key, last] : stream_last_bin) {
-                if (std::get<2>(key) != rule.signal) {
+            const std::size_t slot = internSignal(rule.signal);
+            for (auto &[key, entity] : entities) {
+                if (entity.last_bin.size() <= slot ||
+                    entity.last_bin[slot] == kNoBin) {
                     continue;
                 }
-                const auto kind =
-                    static_cast<EntityKind>(std::get<0>(key));
-                const std::int64_t entity = std::get<1>(key);
-                const std::int64_t gap = bin - last;
-                transition(rule, stateFor(r, kind, entity),
-                           rollupFor(kind, entity), kind,
-                           entity, gap > rule.gap_bins, bin, t_s,
+                const auto kind = static_cast<EntityKind>(key.first);
+                const std::int64_t gap = bin - entity.last_bin[slot];
+                transition(rule, stateFor(entity, r), entity.rollup, kind,
+                           key.second, gap > rule.gap_bins, bin, t_s,
                            static_cast<double>(gap));
             }
         }
@@ -315,11 +431,9 @@ HealthPlane::configure(const HealthConfig &config)
         std::lock_guard<std::mutex> lock(impl_->mutex);
         impl_->config = config;
         impl_->rules.clear();
-        impl_->absence_signals.clear();
-        impl_->dropMemos();
-        impl_->rollups.clear();
-        impl_->states.clear();
-        impl_->stream_last_bin.clear();
+        impl_->signals.clear();
+        impl_->memo_entity = nullptr;
+        impl_->entities.clear();
         impl_->alerts.clear();
         impl_->next_alert_id = 1;
         impl_->observations = 0;
@@ -346,7 +460,7 @@ HealthPlane::addRule(const AlertRule &rule)
 {
     std::lock_guard<std::mutex> lock(impl_->mutex);
     impl_->rules.push_back(rule);
-    impl_->rebuildAbsenceSignals();
+    impl_->rebindSignals();
 }
 
 void
@@ -354,9 +468,10 @@ HealthPlane::clearRules()
 {
     std::lock_guard<std::mutex> lock(impl_->mutex);
     impl_->rules.clear();
-    impl_->absence_signals.clear();
-    impl_->dropMemos();
-    impl_->states.clear();
+    impl_->rebindSignals();
+    for (auto &[key, entity] : impl_->entities) {
+        entity.states.clear();
+    }
 }
 
 std::vector<AlertRule>
@@ -372,90 +487,7 @@ HealthPlane::observe(EntityKind kind, std::int64_t entity,
                      double t_s, double value)
 {
     std::lock_guard<std::mutex> lock(impl_->mutex);
-    Impl &impl = *impl_;
-    const double v = detectorQuantize(value);
-    if (impl.absenceWatched(signal)) {
-        impl.stream_last_bin[{static_cast<int>(kind), entity, signal}] =
-            bin;
-    }
-    Rollup &rollup = impl.rollupFor(kind, entity);
-    ++rollup.observations;
-    rollup.last_bin = bin;
-    ++impl.observations;
-
-    double worst_score = 0.0;
-    bool any_breach = false;
-    for (std::size_t r = 0; r < impl.rules.size(); ++r) {
-        const AlertRule &rule = impl.rules[r];
-        if (rule.signal != signal) {
-            continue;
-        }
-        if (rule.kind == AlertRule::Kind::Absence) {
-            // A fresh observation is the absence rule's all-clear.
-            RuleState &state = impl.stateFor(r, kind, entity);
-            impl.transition(rule, state, rollup, kind, entity, false,
-                            bin, t_s, v);
-            continue;
-        }
-        RuleState &state = impl.stateFor(r, kind, entity);
-        bool breach = false;
-        double score = 0.0;
-        switch (rule.kind) {
-          case AlertRule::Kind::Threshold:
-            breach = rule.op == AlertRule::Op::Gt ? v > rule.threshold
-                                                  : v < rule.threshold;
-            score = breach ? (rule.threshold != 0.0
-                                  ? std::fabs(v / rule.threshold)
-                                  : 1.0)
-                           : 0.0;
-            break;
-          case AlertRule::Kind::Rate: {
-            if (state.have_prev && bin > state.prev_bin) {
-                const double rate =
-                    std::fabs(v - state.prev_value) /
-                    static_cast<double>(bin - state.prev_bin);
-                breach = rate > rule.threshold;
-                score = breach ? (rule.threshold != 0.0
-                                      ? rate / rule.threshold
-                                      : 1.0)
-                               : 0.0;
-            }
-            state.have_prev = true;
-            state.prev_value = v;
-            state.prev_bin = bin;
-            break;
-          }
-          case AlertRule::Kind::Anomaly: {
-            Verdict verdict;
-            switch (rule.detector) {
-              case AlertRule::Detector::Ewma:
-                verdict = state.ewma.step(v);
-                break;
-              case AlertRule::Detector::Robust:
-                verdict = state.robust.step(v);
-                break;
-              case AlertRule::Detector::Flatline:
-                verdict = state.flatline.step(v);
-                break;
-            }
-            breach = verdict.anomalous;
-            score = verdict.score;
-            break;
-          }
-          case AlertRule::Kind::Absence:
-            break;
-        }
-        impl.transition(rule, state, rollup, kind, entity, breach, bin,
-                        t_s, v);
-        if (breach) {
-            any_breach = true;
-            worst_score = std::max(worst_score, score);
-        }
-    }
-    if (any_breach) {
-        ++rollup.anomalous;
-        detail::addFixed(rollup.score, detail::toFixed(worst_score));
-    }
+    impl_->observe(kind, entity, signal, bin, t_s, value);
 }
 
 void
@@ -464,13 +496,39 @@ HealthPlane::observeLane(EntityKind kind, std::int64_t entity,
                          std::uint32_t ord_lo, std::uint32_t ord_hi)
 {
     std::lock_guard<std::mutex> lock(impl_->mutex);
-    JournalWindow &lane = impl_->rollupFor(kind, entity).lane;
-    if (lane.valid && lane.region == region && lane.slot == slot) {
-        lane.ord_lo = std::min(lane.ord_lo, ord_lo);
-        lane.ord_hi = std::max(lane.ord_hi, ord_hi);
-    } else {
-        lane = {region, slot, ord_lo, ord_hi, true};
-    }
+    impl_->observeLane(kind, entity, region, slot, ord_lo, ord_hi);
+}
+
+HealthPlane::Batch::Batch(Impl &impl) : impl_(impl), lock_(impl.mutex)
+{
+}
+
+void
+HealthPlane::Batch::observe(EntityKind kind, std::int64_t entity,
+                            const std::string &signal, std::int64_t bin,
+                            double t_s, double value)
+{
+    impl_.observe(kind, entity, signal, bin, t_s, value);
+}
+
+void
+HealthPlane::Batch::observeLane(EntityKind kind, std::int64_t entity,
+                                std::uint64_t region, std::uint64_t slot,
+                                std::uint32_t ord_lo, std::uint32_t ord_hi)
+{
+    impl_.observeLane(kind, entity, region, slot, ord_lo, ord_hi);
+}
+
+void
+HealthPlane::Batch::advance(std::int64_t bin, double t_s)
+{
+    impl_.sweepAbsence(bin, t_s);
+}
+
+HealthPlane::Batch
+HealthPlane::batch()
+{
+    return Batch(*impl_);
 }
 
 void
@@ -492,7 +550,7 @@ HealthPlane::snapshot() const
     std::lock_guard<std::mutex> lock(impl_->mutex);
     const Impl &impl = *impl_;
     HealthSnapshot out;
-    out.entities = static_cast<std::int64_t>(impl.rollups.size());
+    out.entities = static_cast<std::int64_t>(impl.entities.size());
     out.observations = impl.observations;
     out.alerts_fired = impl.alerts_fired;
     out.alerts = impl.alerts;
@@ -503,8 +561,9 @@ HealthPlane::snapshot() const
     }
 
     std::vector<RollupEntry> entries;
-    entries.reserve(impl.rollups.size());
-    for (const auto &[key, rollup] : impl.rollups) {
+    entries.reserve(impl.entities.size());
+    for (const auto &[key, entity] : impl.entities) {
+        const Rollup &rollup = entity.rollup;
         RollupEntry entry;
         entry.kind = static_cast<EntityKind>(key.first);
         entry.entity = key.second;

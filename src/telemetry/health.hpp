@@ -48,6 +48,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -211,6 +212,8 @@ struct HealthConfig
  */
 class HealthPlane
 {
+    struct Impl;
+
   public:
     HealthPlane();
     ~HealthPlane();
@@ -251,10 +254,36 @@ class HealthPlane
     /** Final advance at end of run; firing alerts stay firing. */
     void finish(std::int64_t bin, double t_s);
 
+    /**
+     * observe() / observeLane() / advance() under one lock held for the
+     * Batch's lifetime: an engine fold feeds thousands of observations
+     * and pays for the lock once. Calls on the plane itself from the
+     * same thread deadlock while a Batch is alive.
+     */
+    class Batch
+    {
+      public:
+        void observe(EntityKind kind, std::int64_t entity,
+                     const std::string &signal, std::int64_t bin,
+                     double t_s, double value);
+        void observeLane(EntityKind kind, std::int64_t entity,
+                         std::uint64_t region, std::uint64_t slot,
+                         std::uint32_t ord_lo, std::uint32_t ord_hi);
+        void advance(std::int64_t bin, double t_s);
+
+      private:
+        friend class HealthPlane;
+        explicit Batch(Impl &impl);
+
+        Impl &impl_;
+        std::unique_lock<std::mutex> lock_;
+    };
+
+    Batch batch();
+
     HealthSnapshot snapshot() const;
 
   private:
-    struct Impl;
     Impl *impl_;
 };
 

@@ -308,6 +308,29 @@ TEST(SaturateI8, ClampEdges)
     EXPECT_EQ(kernels::saturateI8(200, 0), 127);
 }
 
+TEST(QuantizeValue, NonFiniteAndSaturation)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_EQ(quantizeValue(nan, 1.0), 0);
+    EXPECT_EQ(quantizeValue(-nan, 1.0), 0);
+    EXPECT_EQ(quantizeValue(1.0, nan), 0);
+    EXPECT_EQ(quantizeValue(inf, 1.0), 127);
+    EXPECT_EQ(quantizeValue(-inf, 1.0), -127);
+    EXPECT_EQ(quantizeValue(127.0, 1.0), 127);
+    EXPECT_EQ(quantizeValue(-127.0, 1.0), -127);
+    EXPECT_EQ(quantizeValue(127.4, 1.0), 127);
+    EXPECT_EQ(quantizeValue(-128.0, 1.0), -127);
+    EXPECT_EQ(quantizeValue(1.0e300, 1.0e10), 127);
+    EXPECT_EQ(quantizeValue(-1.0e300, 1.0e10), -127);
+    // Finite values keep round-half-away-from-zero.
+    EXPECT_EQ(quantizeValue(2.5, 1.0), 3);
+    EXPECT_EQ(quantizeValue(-2.5, 1.0), -3);
+    EXPECT_EQ(quantizeValue(2.4999, 1.0), 2);
+    EXPECT_EQ(quantizeValue(-0.0, 1.0), 0);
+    EXPECT_EQ(quantizeValue(0.3, 10.0), 3);
+}
+
 // ---------------------------------------------------------------------
 // Quantization round trip: symmetric per-channel int8.
 

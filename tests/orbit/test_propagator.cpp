@@ -4,7 +4,10 @@
 
 #include <cmath>
 
+#include "orbit/earth.hpp"
+#include "orbit/elements.hpp"
 #include "orbit/propagator.hpp"
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace kodan::orbit {
@@ -122,6 +125,78 @@ TEST(J2Propagator, EccentricOrbitRadiusVaries)
     }
     EXPECT_NEAR(min_r, a * 0.99, a * 1e-3);
     EXPECT_NEAR(max_r, a * 1.01, a * 1e-3);
+}
+
+/**
+ * Position from epoch elements and secular rates, written out as one
+ * expression chain: pins the propagator's floating-point operations
+ * and their order.
+ */
+Vec3
+referencePositionEcef(const J2Propagator &sat, double t)
+{
+    const OrbitalElements &el = sat.elements();
+    const double a = el.semi_major_axis;
+    const double e = el.eccentricity;
+    const double mean_anom =
+        util::wrapTwoPi(el.mean_anomaly + sat.meanMotion() * t);
+    const double raan = util::wrapTwoPi(el.raan + sat.raanRate() * t);
+    const double argp =
+        util::wrapTwoPi(el.arg_perigee + sat.argPerigeeRate() * t);
+    const double e_anom = solveKepler(mean_anom, e);
+    const double x_pf = a * (std::cos(e_anom) - e);
+    const double y_pf = a * std::sqrt(1.0 - e * e) * std::sin(e_anom);
+    const double cr = std::cos(raan);
+    const double sr = std::sin(raan);
+    const double ci = std::cos(el.inclination);
+    const double si = std::sin(el.inclination);
+    const double ca = std::cos(argp);
+    const double sa = std::sin(argp);
+    const Vec3 eci{(cr * ca - sr * sa * ci) * x_pf +
+                       (-cr * sa - sr * ca * ci) * y_pf,
+                   (sr * ca + cr * sa * ci) * x_pf +
+                       (-sr * sa + cr * ca * ci) * y_pf,
+                   (sa * si) * x_pf + (ca * si) * y_pf};
+    return eciToEcef(eci, t);
+}
+
+TEST(J2Propagator, PositionEcefIsBitEqualToFullState)
+{
+    // The position-only path must round exactly like the full state,
+    // and both like the reference expression chain.
+    util::Rng rng(0x0E11A5EDULL);
+    for (int orbit = 0; orbit < 64; ++orbit) {
+        OrbitalElements elems;
+        elems.semi_major_axis =
+            kEarthRadius + rng.uniform(300.0e3, 36000.0e3);
+        elems.eccentricity = rng.uniform(0.0, 0.3);
+        elems.inclination = rng.uniform(0.0, util::kPi);
+        elems.raan = rng.uniform(0.0, util::kTwoPi);
+        elems.arg_perigee = rng.uniform(0.0, util::kTwoPi);
+        elems.mean_anomaly = rng.uniform(0.0, util::kTwoPi);
+        if (elems.semi_major_axis * (1.0 - elems.eccentricity) <=
+            kEarthRadius) {
+            elems.eccentricity = 0.0;
+        }
+        const J2Propagator sat(elems);
+        for (int i = 0; i < 64; ++i) {
+            // Times up to ten years, plus the epoch and negative times.
+            const double t = i == 0 ? 0.0
+                             : i == 1
+                                 ? -rng.uniform(0.0, 1.0e6)
+                                 : rng.uniform(0.0, 1.0) *
+                                       std::pow(10.0, rng.uniform(0.0, 8.5));
+            const Vec3 fast = sat.positionEcef(t);
+            const Vec3 full = eciToEcef(sat.stateAt(t).position, t);
+            const Vec3 ref = referencePositionEcef(sat, t);
+            EXPECT_EQ(fast.x, full.x) << "orbit " << orbit << " t " << t;
+            EXPECT_EQ(fast.y, full.y) << "orbit " << orbit << " t " << t;
+            EXPECT_EQ(fast.z, full.z) << "orbit " << orbit << " t " << t;
+            EXPECT_EQ(fast.x, ref.x) << "orbit " << orbit << " t " << t;
+            EXPECT_EQ(fast.y, ref.y) << "orbit " << orbit << " t " << t;
+            EXPECT_EQ(fast.z, ref.z) << "orbit " << orbit << " t " << t;
+        }
+    }
 }
 
 } // namespace

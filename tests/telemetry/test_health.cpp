@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -107,6 +108,54 @@ TEST(RobustZScore, MinPointsSuppressesVerdicts)
     EXPECT_FALSE(detector.step(1e9).anomalous);
 }
 
+TEST(RobustZScore, ScoresMatchSortedWindowReference)
+{
+    // Reference: sort the window for the median, then sort the absolute
+    // deviations for the MAD. Scores must agree bit for bit, across
+    // duplicates, window wrap-around, and even and odd fill counts.
+    for (const std::size_t window : {std::size_t{7}, std::size_t{32}}) {
+        RobustZConfig config;
+        config.window = window;
+        config.min_points = 2;
+        RobustZScore detector(config);
+        std::vector<double> ring;
+        std::uint64_t state = 0x9E3779B97F4A7C15ULL;
+        for (int i = 0; i < 400; ++i) {
+            state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+            const int draw = static_cast<int>(state >> 58); // 0..63
+            const double value =
+                draw % 5 == 0 ? 3.0 : 0.25 * draw - (i % 7 == 0 ? 40.0 : 0.0);
+            const double v = detectorQuantize(value);
+            double expected = 0.0;
+            if (ring.size() >= 2) {
+                std::vector<double> sorted = ring;
+                std::sort(sorted.begin(), sorted.end());
+                const std::size_t n = sorted.size();
+                const auto median = [n](const std::vector<double> &x) {
+                    return n % 2 == 1 ? x[n / 2]
+                                      : 0.5 * (x[n / 2 - 1] + x[n / 2]);
+                };
+                const double med = median(sorted);
+                for (double &x : sorted) {
+                    x = std::fabs(x - med);
+                }
+                std::sort(sorted.begin(), sorted.end());
+                const double scale =
+                    std::max(1.4826 * median(sorted),
+                             config.min_scale +
+                                 config.rel_scale * std::fabs(med));
+                expected = std::fabs(v - med) / (config.k * scale);
+            }
+            EXPECT_EQ(detector.step(value).score, expected)
+                << "window " << window << " observation " << i;
+            ring.push_back(v);
+            if (ring.size() > window) {
+                ring.erase(ring.begin());
+            }
+        }
+    }
+}
+
 TEST(Flatline, StuckRunFiresAtWindow)
 {
     FlatlineConfig config;
@@ -118,6 +167,29 @@ TEST(Flatline, StuckRunFiresAtWindow)
     EXPECT_TRUE(detector.step(7.0).anomalous);  // run = 4 = window
     // A changed value breaks the run.
     EXPECT_FALSE(detector.step(8.0).anomalous);
+}
+
+TEST(Flatline, RunsCompareInFixedPoint)
+{
+    FlatlineConfig config;
+    config.window = 3;
+    Flatline detector(config);
+    // Below the 2^-64 resolution, values that differ as doubles share a
+    // fixed-point pattern, so the run continues.
+    EXPECT_FALSE(detector.step(0x3p-64 + 0x1p-70).anomalous);
+    EXPECT_FALSE(detector.step(0x3p-64 + 0x1p-68).anomalous);
+    EXPECT_TRUE(detector.step(0x3p-64 + 0x1p-66).anomalous);
+    // Saturated magnitudes share one pattern too.
+    Flatline saturated(config);
+    EXPECT_FALSE(saturated.step(1.0e19).anomalous);
+    EXPECT_FALSE(saturated.step(std::numeric_limits<double>::infinity())
+                     .anomalous);
+    EXPECT_TRUE(saturated.step(1.0e30).anomalous);
+    // Values that truncate to zero are an idle signal.
+    Flatline idle(config);
+    for (int i = 0; i < 4; ++i) {
+        EXPECT_FALSE(idle.step(1.0e-25).anomalous);
+    }
 }
 
 TEST(Flatline, ZeroRunsIgnoredByDefault)
