@@ -14,9 +14,11 @@
 #   build-native/    -DKODAN_NATIVE=ON         (mlkernels suite only)
 #
 # The sanitizer passes rerun only the labeled suites — determinism,
-# telemetry, journal, report, time-series, and data-plane tests —
-# because those are the ones that exercise cross-thread merges, the
-# lock-free stage rings, and the recorder hot paths.
+# telemetry, journal, report, time-series, constellation, health,
+# profiling, ML-kernel, and world-model tests — because those are the
+# ones that exercise cross-thread merges, the runtime's batch
+# scheduler, the recorder hot paths, and the world model's fixed-size
+# query buffers under the parallel mission engine.
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -41,7 +43,7 @@ while [[ $# -gt 0 ]]; do
 done
 
 # ctest ANDs repeated -L flags, so the label filter must be one regex.
-LABELS='parallel|telemetry|journal|report|timeseries|mlkernels|constellation|health|prof'
+LABELS='parallel|telemetry|journal|report|timeseries|mlkernels|constellation|health|prof|world'
 
 echo "[ci] tier-1: configure + build + full ctest (jobs=$JOBS)"
 cmake -B "$REPO_ROOT/build" -S "$REPO_ROOT"

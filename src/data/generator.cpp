@@ -50,14 +50,13 @@ DatasetGenerator::makeFrame(double lat_rad, double lon_rad, double time)
             const double lon = lon_rad + (c - half) * d_lon;
             const std::size_t cell =
                 static_cast<std::size_t>(r) * grid + c;
-            const Features f = geo_.featuresAt(lat, lon, time, rng_);
+            const GeoCell sample = geo_.cellAt(lat, lon, time, rng_);
             for (int ch = 0; ch < kFeatureDim; ++ch) {
                 frame.features[cell * kFeatureDim + ch] =
-                    static_cast<float>(f[ch]);
+                    static_cast<float>(sample.features[ch]);
             }
-            frame.cloudy[cell] = geo_.cloudyAt(lat, lon, time) ? 1 : 0;
-            frame.terrain[cell] =
-                static_cast<std::uint8_t>(geo_.terrainAt(lat, lon));
+            frame.cloudy[cell] = sample.cloudy ? 1 : 0;
+            frame.terrain[cell] = static_cast<std::uint8_t>(sample.terrain);
         }
     }
     return frame;

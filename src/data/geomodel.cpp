@@ -1,5 +1,6 @@
 #include "data/geomodel.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -130,7 +131,14 @@ GeoModel::GeoModel(const GeoModelParams &params)
 Terrain
 GeoModel::terrainAt(double lat_rad, double lon_rad) const
 {
-    const double elev = elevation_.at(lat_rad, lon_rad, 0.0);
+    const util::SphereTrig dir = util::SphereTrig::of(lat_rad, lon_rad);
+    return terrainOf(lat_rad, dir, elevation_.at(dir), moisture_.at(dir));
+}
+
+Terrain
+GeoModel::terrainOf(double lat_rad, const util::SphereTrig &dir,
+                    double elev, double moist) const
+{
     // Polar caps freeze regardless of elevation.
     if (std::fabs(lat_rad) > kIceLatitude) {
         return Terrain::Ice;
@@ -142,42 +150,84 @@ GeoModel::terrainAt(double lat_rad, double lon_rad) const
     if (elev > mountain_level_) {
         return Terrain::Mountain;
     }
-    if (urban_.at(lat_rad, lon_rad, 0.0) > kUrbanThreshold) {
+    if (urban_.at(dir) > kUrbanThreshold) {
         return Terrain::Urban;
     }
-    const double moist = moisture_.at(lat_rad, lon_rad, 0.0);
     return moist > 0.5 ? Terrain::Forest : Terrain::Desert;
 }
 
 double
-GeoModel::rawCloud(double lat_rad, double lon_rad, double time) const
+GeoModel::opacityFromRaw(double raw) const
 {
-    return cloud_.at(lat_rad, lon_rad, time / kCloudTimeScale);
+    return clamp((raw - cloud_threshold_) / kCloudRamp + 0.5, 0.0, 1.0);
 }
 
 double
 GeoModel::cloudOpacityAt(double lat_rad, double lon_rad, double time) const
 {
-    const double raw = rawCloud(lat_rad, lon_rad, time);
-    return clamp((raw - cloud_threshold_) / kCloudRamp + 0.5, 0.0, 1.0);
+    return opacityFromRaw(
+        cloud_.at(lat_rad, lon_rad, time / kCloudTimeScale));
 }
 
 bool
 GeoModel::cloudyAt(double lat_rad, double lon_rad, double time) const
 {
-    return cloudOpacityAt(lat_rad, lon_rad, time) > 0.5;
+    return isCloudy(cloudOpacityAt(lat_rad, lon_rad, time));
 }
 
-Features
-GeoModel::featuresAt(double lat_rad, double lon_rad, double time,
-                     util::Rng &rng) const
+int
+GeoModel::clearCount(std::span<const double> lats,
+                     std::span<const double> lons, double time) const
 {
-    const Terrain terrain = terrainAt(lat_rad, lon_rad);
-    const double opacity = cloudOpacityAt(lat_rad, lon_rad, time);
-    const auto &sig = kTerrainSig[static_cast<int>(terrain)];
-    const auto &cloud_sig = kCloudSigByTerrain[static_cast<int>(terrain)];
+    const double cloud_time = time / kCloudTimeScale;
+    // Longitude trig is cached for a block of columns at a time, so any
+    // lattice width works without allocating.
+    constexpr std::size_t kBlock = 8;
+    std::array<double, kBlock> cos_lon{};
+    std::array<double, kBlock> sin_lon{};
+    int clear = 0;
+    for (std::size_t j0 = 0; j0 < lons.size(); j0 += kBlock) {
+        const std::size_t width = std::min(kBlock, lons.size() - j0);
+        for (std::size_t j = 0; j < width; ++j) {
+            cos_lon[j] = std::cos(lons[j0 + j]);
+            sin_lon[j] = std::sin(lons[j0 + j]);
+        }
+        for (const double lat : lats) {
+            const double cos_lat = std::cos(lat);
+            const double sin_lat = std::sin(lat);
+            for (std::size_t j = 0; j < width; ++j) {
+                const double raw = cloud_.at(
+                    {cos_lat, sin_lat, cos_lon[j], sin_lon[j]}, cloud_time);
+                if (!isCloudy(opacityFromRaw(raw))) {
+                    ++clear;
+                }
+            }
+        }
+    }
+    return clear;
+}
 
-    Features f{};
+GeoCell
+GeoModel::cellAt(double lat_rad, double lon_rad, double time,
+                 util::Rng &rng) const
+{
+    const util::SphereTrig dir = util::SphereTrig::of(lat_rad, lon_rad);
+    const double cloud_time = time / kCloudTimeScale;
+    const auto opacityAt = [&](const util::SphereTrig &at) {
+        return opacityFromRaw(cloud_.at(at, cloud_time));
+    };
+    const double elev = elevation_.at(dir);
+    const double moist = moisture_.at(dir);
+    const double opacity = opacityAt(dir);
+
+    GeoCell cell;
+    cell.terrain = terrainOf(lat_rad, dir, elev, moist);
+    cell.cloudy = isCloudy(opacity);
+
+    Features &f = cell.features;
+    const auto &sig = kTerrainSig[static_cast<int>(cell.terrain)];
+    const auto &cloud_sig =
+        kCloudSigByTerrain[static_cast<int>(cell.terrain)];
     for (int c = 0; c < 7; ++c) {
         f[c] = params_.band_gain *
                    (sig[c] * (1.0 - opacity) + cloud_sig[c] * opacity) +
@@ -185,21 +235,28 @@ GeoModel::featuresAt(double lat_rad, double lon_rad, double time,
     }
     // Channels 7/8: ancillary map priors (elevation, moisture) known
     // regardless of cloud cover — pure context signals, never cloud cues.
-    f[7] = elevation_.at(lat_rad, lon_rad, 0.0);
-    f[8] = moisture_.at(lat_rad, lon_rad, 0.0);
+    f[7] = elev;
+    f[8] = moist;
     // Channel 9: cloud-boundary indicator (gradient magnitude of opacity),
     // estimated by finite differences ~1 km apart.
     const double eps = 1.0e3 / util::kEarthRadius;
-    const double d_lat = cloudOpacityAt(lat_rad + eps, lon_rad, time) -
-                         cloudOpacityAt(lat_rad - eps, lon_rad, time);
-    const double d_lon = cloudOpacityAt(lat_rad, lon_rad + eps, time) -
-                         cloudOpacityAt(lat_rad, lon_rad - eps, time);
+    const double d_lat = opacityAt(dir.withLat(lat_rad + eps)) -
+                         opacityAt(dir.withLat(lat_rad - eps));
+    const double d_lon = opacityAt(dir.withLon(lon_rad + eps)) -
+                         opacityAt(dir.withLon(lon_rad - eps));
     f[9] = clamp(std::sqrt(d_lat * d_lat + d_lon * d_lon), 0.0, 1.0);
 
     for (auto &channel : f) {
         channel += rng.normal(0.0, params_.sensor_noise);
     }
-    return f;
+    return cell;
+}
+
+Features
+GeoModel::featuresAt(double lat_rad, double lon_rad, double time,
+                     util::Rng &rng) const
+{
+    return cellAt(lat_rad, lon_rad, time, rng).features;
 }
 
 Features

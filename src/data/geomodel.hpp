@@ -16,6 +16,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "util/noise.hpp"
 #include "util/rng.hpp"
@@ -81,6 +82,17 @@ struct GeoModelParams
     static GeoModelParams legacyDomain();
 };
 
+/** Everything the world says about one observed ground cell. */
+struct GeoCell
+{
+    /** Observed features (terrain blended with cloud, plus noise). */
+    Features features{};
+    /** The cell is cloud-obscured (opacity > 0.5). */
+    bool cloudy = false;
+    /** Terrain class under the cell. */
+    Terrain terrain = Terrain::Ocean;
+};
+
 /**
  * The procedural Earth.
  *
@@ -112,13 +124,31 @@ class GeoModel
     bool cloudyAt(double lat_rad, double lon_rad, double time) const;
 
     /**
-     * Observed features of a ground cell: terrain signature blended with
-     * cloud, plus sensor noise drawn from @p rng.
+     * Number of clear (not cloud-obscured) points on the product lattice
+     * @p lats × @p lons at @p time. Equals counting !cloudyAt over every
+     * (lat, lon) pair bit for bit, but computes each latitude's and each
+     * longitude's cos/sin once and scales @p time once.
+     */
+    int clearCount(std::span<const double> lats,
+                   std::span<const double> lons, double time) const;
+
+    /**
+     * One observed ground cell: features, cloudy, and terrain together.
+     * Equals featuresAt, cloudyAt, and terrainAt at the same point bit
+     * for bit and draws the same deviates from @p rng, but evaluates
+     * each field once and shares the point's trig between them.
      *
      * @param lat_rad Latitude (rad).
      * @param lon_rad Longitude (rad).
      * @param time Observation time (s).
      * @param rng Noise source (one deviate per channel).
+     */
+    GeoCell cellAt(double lat_rad, double lon_rad, double time,
+                   util::Rng &rng) const;
+
+    /**
+     * Observed features of a ground cell: terrain signature blended with
+     * cloud, plus sensor noise drawn from @p rng (cellAt's features).
      */
     Features featuresAt(double lat_rad, double lon_rad, double time,
                         util::Rng &rng) const;
@@ -143,8 +173,15 @@ class GeoModel
     double mountain_level_;  // elevation threshold for mountains
     double cloud_threshold_; // raw-noise threshold for "cloudy"
 
-    /** Raw (un-thresholded) cloud field value. */
-    double rawCloud(double lat_rad, double lon_rad, double time) const;
+    /** Opacity in [0, 1] of a raw (un-thresholded) cloud field value. */
+    double opacityFromRaw(double raw) const;
+
+    /** The cloudy verdict of an opacity; every query thresholds here. */
+    static bool isCloudy(double opacity) { return opacity > 0.5; }
+
+    /** Terrain class from a point's elevation and moisture fields. */
+    Terrain terrainOf(double lat_rad, const util::SphereTrig &dir,
+                      double elev, double moist) const;
 };
 
 } // namespace kodan::data

@@ -45,14 +45,23 @@ ecefToGeodetic(const Vec3 &ecef)
     const double lon = std::atan2(ecef.y, ecef.x);
     const double p = std::sqrt(ecef.x * ecef.x + ecef.y * ecef.y);
 
-    // Iterate latitude; converges quickly for LEO altitudes.
+    // Iterate latitude; converges quickly for LEO altitudes. Each step
+    // is a pure function of the latitude it starts from (and gives the
+    // same result for -0 and +0), so once a step returns the latitude it
+    // started from, every remaining step would reproduce the same alt and
+    // lat: stopping there is exact. Inputs that settle into a 2-cycle
+    // never hit the fixed point and run all 8 steps.
     double lat = std::atan2(ecef.z, p * (1.0 - e2));
     double alt = 0.0;
     for (int iter = 0; iter < 8; ++iter) {
         const double sin_lat = std::sin(lat);
         const double n = a / std::sqrt(1.0 - e2 * sin_lat * sin_lat);
         alt = p / std::cos(lat) - n;
+        const double prev = lat;
         lat = std::atan2(ecef.z, p * (1.0 - e2 * n / (n + alt)));
+        if (lat == prev) {
+            break;
+        }
     }
     return {lat, util::wrapPi(lon), alt};
 }

@@ -1,6 +1,7 @@
 #include "sim/mission.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -158,19 +159,15 @@ frameValueFraction(const data::GeoModel *world, double fixed_prevalence,
     }
     // Sample a 3x3 lattice across the frame footprint.
     const double spread = 50.0e3 / util::kEarthRadius; // ~ frame third
-    int clear = 0;
-    for (int dr = -1; dr <= 1; ++dr) {
-        for (int dc = -1; dc <= 1; ++dc) {
-            const double lat = util::clamp(center.latitude + dr * spread,
-                                           -util::kPi / 2.0 + 1e-6,
-                                           util::kPi / 2.0 - 1e-6);
-            const double lon = center.longitude + dc * spread;
-            if (!world->cloudyAt(lat, lon, time)) {
-                ++clear;
-            }
-        }
+    std::array<double, 3> lats{};
+    std::array<double, 3> lons{};
+    for (int d = -1; d <= 1; ++d) {
+        lats[d + 1] = util::clamp(center.latitude + d * spread,
+                                  -util::kPi / 2.0 + 1e-6,
+                                  util::kPi / 2.0 - 1e-6);
+        lons[d + 1] = center.longitude + d * spread;
     }
-    return clear / 9.0;
+    return world->clearCount(lats, lons, time) / 9.0;
 }
 
 double

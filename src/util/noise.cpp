@@ -22,6 +22,25 @@ lerp(double a, double b, double t)
     return a + (b - a) * t;
 }
 
+/** Per-axis multipliers of the lattice hash chain. */
+constexpr std::uint64_t kHashX = 0x8da6b343ULL;
+constexpr std::uint64_t kHashY = 0xd8163841ULL;
+constexpr std::uint64_t kHashZ = 0xcb1ab31fULL;
+
+/** Fold one lattice coordinate into the hash chain. */
+std::uint64_t
+hashAxis(std::uint64_t h, std::int64_t i, std::uint64_t multiplier)
+{
+    return splitMix64(h ^ static_cast<std::uint64_t>(i) * multiplier);
+}
+
+/** 53 high bits of a hash -> double in [0, 1). */
+double
+unitInterval(std::uint64_t h)
+{
+    return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
 } // namespace
 
 ValueNoise::ValueNoise(std::uint64_t seed)
@@ -32,11 +51,8 @@ ValueNoise::ValueNoise(std::uint64_t seed)
 double
 ValueNoise::cellValue(std::int64_t ix, std::int64_t iy, std::int64_t iz) const
 {
-    std::uint64_t h = seed_;
-    h = splitMix64(h ^ static_cast<std::uint64_t>(ix) * 0x8da6b343ULL);
-    h = splitMix64(h ^ static_cast<std::uint64_t>(iy) * 0xd8163841ULL);
-    h = splitMix64(h ^ static_cast<std::uint64_t>(iz) * 0xcb1ab31fULL);
-    return static_cast<double>(h >> 11) * 0x1.0p-53;
+    return unitInterval(hashAxis(
+        hashAxis(hashAxis(seed_, ix, kHashX), iy, kHashY), iz, kHashZ));
 }
 
 double
@@ -52,11 +68,17 @@ ValueNoise::at(double x, double y, double z) const
     const double ty = smooth(y - fy);
     const double tz = smooth(z - fz);
 
+    // cellValue chains one hash per axis, so the 8 corners share their
+    // x and (x, y) prefixes: 2 + 4 + 8 hashes give the same corner
+    // values as 8 full cellValue chains (24 hashes).
     double corner[2][2][2];
     for (int dx = 0; dx < 2; ++dx) {
+        const std::uint64_t hx = hashAxis(seed_, ix + dx, kHashX);
         for (int dy = 0; dy < 2; ++dy) {
+            const std::uint64_t hxy = hashAxis(hx, iy + dy, kHashY);
             for (int dz = 0; dz < 2; ++dz) {
-                corner[dx][dy][dz] = cellValue(ix + dx, iy + dy, iz + dz);
+                corner[dx][dy][dz] =
+                    unitInterval(hashAxis(hxy, iz + dz, kHashZ));
             }
         }
     }
@@ -106,13 +128,37 @@ SphericalFbm::SphericalFbm(std::uint64_t seed, int octaves, double frequency)
 {
 }
 
+SphereTrig
+SphereTrig::of(double lat_rad, double lon_rad)
+{
+    return {std::cos(lat_rad), std::sin(lat_rad), std::cos(lon_rad),
+            std::sin(lon_rad)};
+}
+
+SphereTrig
+SphereTrig::withLat(double lat_rad) const
+{
+    return {std::cos(lat_rad), std::sin(lat_rad), cos_lon, sin_lon};
+}
+
+SphereTrig
+SphereTrig::withLon(double lon_rad) const
+{
+    return {cos_lat, sin_lat, std::cos(lon_rad), std::sin(lon_rad)};
+}
+
 double
 SphericalFbm::at(double lat_rad, double lon_rad, double time) const
 {
-    const double cos_lat = std::cos(lat_rad);
-    const double x = cos_lat * std::cos(lon_rad);
-    const double y = cos_lat * std::sin(lon_rad);
-    const double z = std::sin(lat_rad);
+    return at(SphereTrig::of(lat_rad, lon_rad), time);
+}
+
+double
+SphericalFbm::at(const SphereTrig &dir, double time) const
+{
+    const double x = dir.cos_lat * dir.cos_lon;
+    const double y = dir.cos_lat * dir.sin_lon;
+    const double z = dir.sin_lat;
     // Embed on the sphere of radius `frequency_` and fold time into all
     // three axes so the field genuinely evolves rather than translating.
     return fbm_.at(x * frequency_ + 0.31 * time,

@@ -87,6 +87,29 @@ class FbmNoise
 };
 
 /**
+ * Cosine and sine of a direction's latitude and longitude: everything
+ * SphericalFbm needs to embed the direction on the sphere. Queries that
+ * share a latitude or a longitude (a lattice of points, finite
+ * differences around a point) compute each pair once and reuse it.
+ */
+struct SphereTrig
+{
+    double cos_lat;
+    double sin_lat;
+    double cos_lon;
+    double sin_lon;
+
+    /** The cos/sin pairs of @p lat_rad and @p lon_rad. */
+    static SphereTrig of(double lat_rad, double lon_rad);
+
+    /** This direction moved to latitude @p lat_rad (longitude kept). */
+    SphereTrig withLat(double lat_rad) const;
+
+    /** This direction moved to longitude @p lon_rad (latitude kept). */
+    SphereTrig withLon(double lon_rad) const;
+};
+
+/**
  * Noise evaluated on the sphere via 3-D embedding.
  *
  * Evaluating lattice noise directly on (lat, lon) seams at the antimeridian
@@ -113,6 +136,13 @@ class SphericalFbm
      * @return Smooth value in [0, 1], continuous across the antimeridian.
      */
     double at(double lat_rad, double lon_rad, double time = 0.0) const;
+
+    /**
+     * Evaluate at a direction given by its precomputed trig; the one
+     * embedding path. at(lat, lon, time) equals
+     * at(SphereTrig::of(lat, lon), time) bit for bit.
+     */
+    double at(const SphereTrig &dir, double time = 0.0) const;
 
   private:
     FbmNoise fbm_;

@@ -23,7 +23,14 @@ namespace kodan::util {
  * @param x Input value.
  * @return Well-mixed 64-bit output.
  */
-std::uint64_t splitMix64(std::uint64_t x);
+inline std::uint64_t
+splitMix64(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
 
 /**
  * Deterministic xoshiro256** generator.

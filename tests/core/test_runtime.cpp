@@ -38,9 +38,18 @@ TEST(Runtime, ComputeTimeMatchesCostModel)
                           &pipeline.app4.zoo, hw::Target::Orin15W);
     const auto report =
         runtime.processFrame(pipeline.shared.val.front());
+    // Charge the path the reference entry actually runs: its int8
+    // sibling under KODAN_QUANT=int8, the fp64 network otherwise.
+    const ZooEntry &ref =
+        pipeline.app4.zoo.entries[pipeline.app4.zoo.reference];
+    const std::size_t params = hw::CostModel::tierParamCount(ref.tier);
+    const double model_time =
+        ref.runsQuantized()
+            ? hw::CostModel::modelTimeQuant(params, hw::Target::Orin15W)
+            : hw::CostModel::modelTime(params, hw::Target::Orin15W);
     const double expected =
         36.0 * (hw::CostModel::contextEngineTime(hw::Target::Orin15W) +
-                hw::CostModel::tileTime(4, hw::Target::Orin15W));
+                model_time);
     EXPECT_NEAR(report.compute_time, expected, 1e-9);
     EXPECT_EQ(report.tiles_modeled, 36);
     EXPECT_EQ(report.tiles_discarded, 0);

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <vector>
 
 #include "data/geomodel.hpp"
+#include "util/stats.hpp"
 #include "util/units.hpp"
 
 namespace kodan::data {
@@ -226,6 +229,204 @@ TEST(GeoModel, SensorNoiseAppliedPerChannel)
         }
     }
     EXPECT_EQ(differing, kFeatureDim);
+}
+
+// --- Bit-identity contract of the one-pass queries ----------------------
+//
+// cellAt and clearCount share trig and field evaluations between points
+// and fields; they must equal the per-point queries bit for bit, and the
+// per-point queries must equal the seed's pinned outputs.
+
+struct GoldenPoint
+{
+    double lat;
+    double lon;
+    double time;
+    bool cloudy;
+    double opacity;
+    Terrain terrain;
+    Features features; // featuresAt with util::Rng(42)
+};
+
+const std::array<GoldenPoint, 3> kGolden = {{
+    {0.3, 0.4, 0.0, false, 0x1.4714d62a9268p-2, Terrain::Ocean,
+     {0x1.860e490b73f78p-2, 0x1.8a3bf88fb884ap-3, 0x1.872424688575ep-2,
+      0x1.7ffe961dadf1dp-3, -0x1.a8786a7fdc299p-4, -0x1.2847dda0a8303p-3,
+      0x1.a6ae8df09d16cp-2, 0x1.07dc0287172b2p-1, 0x1.c02e360fff45p-1,
+      -0x1.edf20a1e6976p-8}},
+    {0.61, -2.2, 3600.0, true, 0x1.ee17d44d880a8p-1, Terrain::Mountain,
+     {0x1.59d4fd1e9cf19p-1, 0x1.ee614c8d383cfp-2, 0x1.560789e0bbbfcp-1,
+      0x1.f22b8120b06aap-2, 0x1.48a3bff2b129ap-4, 0x1.bf40b96d73a88p-5,
+      0x1.2eb6fa3d6c022p-2, 0x1.bed20967a3e0ep-1, 0x1.caaa0e3797a5p-1,
+      0x1.a5b742bf5b8a9p-3}},
+    {1.2, 0.1, 100.0, true, 0x1.b285a36f1eb08p-1, Terrain::Ice,
+     {0x1.8a8c01f187b49p-1, 0x1.2d8fe9d9c2ccap-1, 0x1.92d5642b53cd3p-1,
+      0x1.11ebcf5953bbbp-1, -0x1.dc9e4c3ba2edp-5, -0x1.549b283cc8dcap-5,
+      0x1.3343693f8fdd5p-3, 0x1.8aab798af4d09p-1, 0x1.705a2d582cefap-1,
+      0x1.c12bd099cb668p-4}},
+}};
+
+TEST(GeoModel, GoldenValues)
+{
+    const GeoModel geo;
+    for (const GoldenPoint &g : kGolden) {
+        EXPECT_EQ(geo.cloudyAt(g.lat, g.lon, g.time), g.cloudy);
+        EXPECT_EQ(geo.cloudOpacityAt(g.lat, g.lon, g.time), g.opacity);
+        EXPECT_EQ(geo.terrainAt(g.lat, g.lon), g.terrain);
+        util::Rng rng(42);
+        const Features f = geo.featuresAt(g.lat, g.lon, g.time, rng);
+        for (int c = 0; c < kFeatureDim; ++c) {
+            EXPECT_EQ(f[c], g.features[c]) << "channel " << c;
+        }
+    }
+}
+
+/**
+ * featuresAt written out from per-point queries, the way the world
+ * defines it: terrain/cloud signature blend at the point's opacity,
+ * the elevation and moisture fields (rebuilt from GeoModel's seed
+ * derivation), the opacity gradient from four cloudOpacityAt calls,
+ * then one sensor-noise deviate per channel.
+ */
+Features
+referenceFeatures(const GeoModel &geo, double lat, double lon, double time,
+                  util::Rng &rng)
+{
+    const GeoModelParams &params = geo.params();
+    const util::SphericalFbm elevation(util::splitMix64(params.seed ^ 0x01),
+                                       5, params.terrain_frequency);
+    const util::SphericalFbm moisture(util::splitMix64(params.seed ^ 0x02),
+                                      4, params.terrain_frequency * 1.3);
+    const Terrain terrain = geo.terrainAt(lat, lon);
+    const double opacity = geo.cloudOpacityAt(lat, lon, time);
+    const Features sig = GeoModel::terrainSignature(terrain);
+    const Features cloud_sig = GeoModel::cloudSignature(terrain);
+    Features f{};
+    for (int c = 0; c < 7; ++c) {
+        f[c] = params.band_gain *
+                   (sig[c] * (1.0 - opacity) + cloud_sig[c] * opacity) +
+               params.band_offset;
+    }
+    f[7] = elevation.at(lat, lon, 0.0);
+    f[8] = moisture.at(lat, lon, 0.0);
+    const double eps = 1.0e3 / util::kEarthRadius;
+    const double d_lat = geo.cloudOpacityAt(lat + eps, lon, time) -
+                         geo.cloudOpacityAt(lat - eps, lon, time);
+    const double d_lon = geo.cloudOpacityAt(lat, lon + eps, time) -
+                         geo.cloudOpacityAt(lat, lon - eps, time);
+    f[9] = util::clamp(std::sqrt(d_lat * d_lat + d_lon * d_lon), 0.0, 1.0);
+    for (auto &channel : f) {
+        channel += rng.normal(0.0, params.sensor_noise);
+    }
+    return f;
+}
+
+TEST(GeoModel, CellAtMatchesPerPointQueries)
+{
+    GeoModelParams params;
+    params.band_gain = 1.1; // exercise the calibration terms too
+    params.band_offset = 0.04;
+    for (const GeoModel &geo : {GeoModel(), GeoModel(params)}) {
+        util::Rng points(31);
+        for (int i = 0; i < 500; ++i) {
+            const double lat = points.uniform(-1.5707, 1.5707);
+            const double lon = points.uniform(-7.0, 7.0);
+            const double time = points.uniform(0.0, 1.0e6);
+            // Leave a cached Box-Muller spare in half the cases so the
+            // deviate sequence is checked from both generator states.
+            util::Rng rng_cell(1000 + i);
+            util::Rng rng_features(1000 + i);
+            util::Rng rng_ref(1000 + i);
+            if (i % 2 == 1) {
+                rng_cell.normal();
+                rng_features.normal();
+                rng_ref.normal();
+            }
+            const GeoCell cell = geo.cellAt(lat, lon, time, rng_cell);
+            const Features f = geo.featuresAt(lat, lon, time, rng_features);
+            const Features ref =
+                referenceFeatures(geo, lat, lon, time, rng_ref);
+            for (int c = 0; c < kFeatureDim; ++c) {
+                ASSERT_EQ(cell.features[c], ref[c]) << "channel " << c;
+                ASSERT_EQ(f[c], ref[c]) << "channel " << c;
+            }
+            ASSERT_EQ(cell.cloudy, geo.cloudyAt(lat, lon, time));
+            ASSERT_EQ(cell.terrain, geo.terrainAt(lat, lon));
+            const double next = rng_ref.normal();
+            ASSERT_EQ(rng_cell.normal(), next);
+            ASSERT_EQ(rng_features.normal(), next);
+        }
+    }
+}
+
+/** Clear points of the lattice, one cloudyAt per point. */
+int
+referenceClearCount(const GeoModel &geo, const std::vector<double> &lats,
+                    const std::vector<double> &lons, double time)
+{
+    int clear = 0;
+    for (const double lat : lats) {
+        for (const double lon : lons) {
+            clear += geo.cloudyAt(lat, lon, time) ? 0 : 1;
+        }
+    }
+    return clear;
+}
+
+TEST(GeoModel, ClearCountMatchesPerPointQueries)
+{
+    GeoModelParams params;
+    params.cloud_fraction = 0.5; // most lattices mix clear and cloudy
+    params.cloud_frequency = 60.0;
+    const GeoModel geo(params);
+    const double pole = util::kPi / 2.0 - 1e-6;
+    const double spread = 50.0e3 / util::kEarthRadius;
+    // Pole-clamped rows, the antimeridian, and unwrapped longitudes.
+    const std::vector<std::vector<double>> lat_sets = {
+        {pole - spread, pole, pole},
+        {-pole, -pole, -pole + spread},
+        {-0.1, 0.0, 0.1},
+        {0.7},
+    };
+    const std::vector<std::vector<double>> lon_sets = {
+        {util::kPi - spread, util::kPi, util::kPi + spread},
+        {-util::kPi - spread, -util::kPi, -util::kPi + spread},
+        {-0.3, 0.0, 0.3},
+        {5.9, 6.3, 12.0},
+    };
+    for (const auto &lats : lat_sets) {
+        for (const auto &lons : lon_sets) {
+            for (const double time : {0.0, 7200.0, 1.0e6}) {
+                EXPECT_EQ(geo.clearCount(lats, lons, time),
+                          referenceClearCount(geo, lats, lons, time));
+            }
+        }
+    }
+    // Random 3x3 frame lattices, and lattices wider than one cached block
+    // of longitudes.
+    util::Rng rng(32);
+    int mixed = 0;
+    for (int i = 0; i < 2000; ++i) {
+        const std::size_t width = (i % 10 == 0) ? 19 : 3;
+        std::vector<double> lats(3);
+        std::vector<double> lons(width);
+        const double lat0 = rng.uniform(-1.5, 1.5);
+        const double lon0 = rng.uniform(-4.0, 4.0);
+        for (std::size_t k = 0; k < lats.size(); ++k) {
+            lats[k] = lat0 + static_cast<double>(k) * spread;
+        }
+        for (std::size_t k = 0; k < lons.size(); ++k) {
+            lons[k] = lon0 + static_cast<double>(k) * spread;
+        }
+        const double time = rng.uniform(0.0, 1.0e6);
+        const int want = referenceClearCount(geo, lats, lons, time);
+        ASSERT_EQ(geo.clearCount(lats, lons, time), want);
+        if (want > 0 && want < static_cast<int>(lats.size() * width)) {
+            ++mixed;
+        }
+    }
+    EXPECT_GT(mixed, 100);
+    EXPECT_EQ(geo.clearCount({}, std::vector<double>{0.0}, 0.0), 0);
 }
 
 } // namespace

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "orbit/earth.hpp"
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace kodan::orbit {
@@ -62,6 +66,83 @@ TEST(Geodetic, RoundTripAtVariousLatitudes)
             EXPECT_NEAR(back.altitude, geo.altitude, 1e-3);
         }
     }
+}
+
+/**
+ * The fixed 8-step latitude iteration ecefToGeodetic's early exit must
+ * reproduce bit for bit. @p lats receives the 9 latitude iterates.
+ */
+Geodetic
+referenceGeodetic(const Vec3 &ecef, std::vector<double> *lats = nullptr)
+{
+    const double a = kEarthRadius;
+    const double e2 = kWgs84Flattening * (2.0 - kWgs84Flattening);
+    const double lon = std::atan2(ecef.y, ecef.x);
+    const double p = std::sqrt(ecef.x * ecef.x + ecef.y * ecef.y);
+    double lat = std::atan2(ecef.z, p * (1.0 - e2));
+    double alt = 0.0;
+    if (lats != nullptr) {
+        lats->assign(1, lat);
+    }
+    for (int iter = 0; iter < 8; ++iter) {
+        const double sin_lat = std::sin(lat);
+        const double n = a / std::sqrt(1.0 - e2 * sin_lat * sin_lat);
+        alt = p / std::cos(lat) - n;
+        lat = std::atan2(ecef.z, p * (1.0 - e2 * n / (n + alt)));
+        if (lats != nullptr) {
+            lats->push_back(lat);
+        }
+    }
+    return {lat, util::wrapPi(lon), alt};
+}
+
+void
+expectBitEqual(const Geodetic &got, const Geodetic &want)
+{
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.latitude),
+              std::bit_cast<std::uint64_t>(want.latitude));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.longitude),
+              std::bit_cast<std::uint64_t>(want.longitude));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.altitude),
+              std::bit_cast<std::uint64_t>(want.altitude));
+}
+
+TEST(Geodetic, EarlyExitMatchesFixedIterationBitForBit)
+{
+    util::Rng rng(21);
+    for (int i = 0; i < 20000; ++i) {
+        // Alternate ground/low-altitude points and LEO shells.
+        const double radius = (i % 2 == 0)
+                                  ? rng.uniform(6.35e6, 6.40e6)
+                                  : rng.uniform(6.7e6, 7.3e6);
+        const double lat = rng.uniform(-util::kPi / 2.0, util::kPi / 2.0);
+        const double lon = rng.uniform(-util::kPi, util::kPi);
+        const Vec3 ecef{radius * std::cos(lat) * std::cos(lon),
+                        radius * std::cos(lat) * std::sin(lon),
+                        radius * std::sin(lat)};
+        expectBitEqual(ecefToGeodetic(ecef), referenceGeodetic(ecef));
+    }
+    // Equator (z = +0 and -0) and the sub-satellite grid's edge cases.
+    for (const Vec3 &ecef :
+         {Vec3{kEarthRadius, 0.0, 0.0}, Vec3{7.0e6, 1.0e5, -0.0},
+          Vec3{-6.9e6, -2.0e6, 0.0}, Vec3{1.0, 1.0, 6.4e6}}) {
+        expectBitEqual(ecefToGeodetic(ecef), referenceGeodetic(ecef));
+    }
+}
+
+TEST(Geodetic, TwoCycleInputRunsAllSteps)
+{
+    // A LEO position whose latitude iteration alternates between two
+    // values instead of reaching a fixed point, so the early exit must
+    // never trigger and all 8 steps run.
+    const Vec3 ecef{-0x1.513a54c49a1b9p+19, -0x1.99f4ee0d9f4b9p+18,
+                    -0x1.b1f46578a05c4p+22};
+    std::vector<double> lats;
+    const Geodetic want = referenceGeodetic(ecef, &lats);
+    ASSERT_EQ(lats.size(), 9U);
+    ASSERT_NE(lats[8], lats[7]) << "input no longer ends in a 2-cycle";
+    ASSERT_EQ(lats[8], lats[6]) << "input no longer ends in a 2-cycle";
+    expectBitEqual(ecefToGeodetic(ecef), want);
 }
 
 TEST(Geodetic, EquatorialPointOnXAxis)

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "data/geomodel.hpp"
 #include "sim/mission.hpp"
+#include "util/stats.hpp"
+#include "util/units.hpp"
 
 namespace kodan::sim {
 namespace {
@@ -175,6 +178,40 @@ TEST(MissionSim, HighValueYieldIsAFraction)
     for (const auto &sat : result.per_satellite) {
         EXPECT_GE(sat.highValueYield(), 0.0);
         EXPECT_LE(sat.highValueYield(), 1.0 + 1e-9);
+    }
+}
+
+TEST(FrameValueFraction, MatchesNinePointCloudyLoop)
+{
+    // The value model's lattice query must equal its definition: 9
+    // cloudyAt calls over the pole-clamped 3x3 footprint lattice.
+    const data::GeoModel world;
+    const double spread = 50.0e3 / util::kEarthRadius;
+    util::Rng points(41);
+    for (int i = 0; i < 3000; ++i) {
+        orbit::Geodetic center{points.uniform(-util::kPi / 2.0,
+                                              util::kPi / 2.0),
+                               points.uniform(-util::kPi, util::kPi), 0.0};
+        if (i % 7 == 0) {
+            center.latitude = (i % 2 == 0 ? 1.0 : -1.0) * util::kPi / 2.0;
+        }
+        if (i % 11 == 0) {
+            center.longitude = util::kPi;
+        }
+        const double time = points.uniform(0.0, 5.0e5);
+        int clear = 0;
+        for (int dr = -1; dr <= 1; ++dr) {
+            for (int dc = -1; dc <= 1; ++dc) {
+                const double lat = util::clamp(
+                    center.latitude + dr * spread, -util::kPi / 2.0 + 1e-6,
+                    util::kPi / 2.0 - 1e-6);
+                const double lon = center.longitude + dc * spread;
+                clear += world.cloudyAt(lat, lon, time) ? 0 : 1;
+            }
+        }
+        util::Rng rng(1);
+        ASSERT_EQ(frameValueFraction(&world, 0.5, center, time, rng),
+                  clear / 9.0);
     }
 }
 

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "util/noise.hpp"
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace kodan::util {
@@ -52,6 +54,67 @@ TEST(ValueNoise, InterpolatesLatticeValues)
     ValueNoise noise(5);
     // At integer lattice points the value equals the cell hash.
     EXPECT_NEAR(noise.at(2.0, 3.0, 4.0), noise.cellValue(2, 3, 4), 1e-12);
+}
+
+/**
+ * ValueNoise::at written out from its definition: a trilinear blend of
+ * the 8 surrounding cellValue corners with quintic-smoothstep weights.
+ */
+double
+referenceValueNoise(const ValueNoise &noise, double x, double y, double z)
+{
+    const auto smooth = [](double t) {
+        return t * t * t * (t * (t * 6.0 - 15.0) + 10.0);
+    };
+    const auto lerp = [](double a, double b, double t) {
+        return a + (b - a) * t;
+    };
+    const double fx = std::floor(x);
+    const double fy = std::floor(y);
+    const double fz = std::floor(z);
+    const auto ix = static_cast<std::int64_t>(fx);
+    const auto iy = static_cast<std::int64_t>(fy);
+    const auto iz = static_cast<std::int64_t>(fz);
+    const double tx = smooth(x - fx);
+    const double ty = smooth(y - fy);
+    const double tz = smooth(z - fz);
+    const auto c = [&](int dx, int dy, int dz) {
+        return noise.cellValue(ix + dx, iy + dy, iz + dz);
+    };
+    const double x00 = lerp(c(0, 0, 0), c(1, 0, 0), tx);
+    const double x10 = lerp(c(0, 1, 0), c(1, 1, 0), tx);
+    const double x01 = lerp(c(0, 0, 1), c(1, 0, 1), tx);
+    const double x11 = lerp(c(0, 1, 1), c(1, 1, 1), tx);
+    return lerp(lerp(x00, x10, ty), lerp(x01, x11, ty), tz);
+}
+
+TEST(ValueNoise, SharedCornerHashesMatchCellValueLerp)
+{
+    ValueNoise noise(0x5eed);
+    Rng rng(17);
+    for (int i = 0; i < 5000; ++i) {
+        // Negative, small, and large coordinates (lattice indices far
+        // from zero exercise the full 64-bit hash multiply).
+        const double scale = (i % 3 == 0) ? 1.0e9 : (i % 3 == 1) ? 50.0 : 2.0;
+        const double x = rng.uniform(-scale, scale);
+        const double y = rng.uniform(-scale, scale);
+        const double z = rng.uniform(-scale, scale);
+        ASSERT_EQ(noise.at(x, y, z), referenceValueNoise(noise, x, y, z))
+            << x << ", " << y << ", " << z;
+    }
+    EXPECT_EQ(noise.at(-0.5, -1.0e6 + 0.25, -3.75),
+              referenceValueNoise(noise, -0.5, -1.0e6 + 0.25, -3.75));
+}
+
+TEST(ValueNoise, GoldenValues)
+{
+    // Pinned outputs of the seed's field; any bit drift in the hash or
+    // the interpolation fails here rather than only in the figure
+    // baselines.
+    ValueNoise noise(5);
+    EXPECT_EQ(noise.at(-3.7, -1e6 + 0.25, 7.5), 0x1.1b901e733dfb5p-1);
+    EXPECT_EQ(noise.at(1e9 + 0.5, -2.25, -0.125), 0x1.bda334a832688p-3);
+    EXPECT_EQ(noise.at(0.5, 0.5, 0.5), 0x1.70a98eccf7a54p-2);
 }
 
 TEST(ValueNoise, VariesAcrossSpace)
@@ -104,6 +167,33 @@ TEST(SphericalFbm, WellDefinedAtPoles)
     const double north1 = field.at(degToRad(89.9999), 0.0);
     const double north2 = field.at(degToRad(89.9999), degToRad(120.0));
     EXPECT_NEAR(north1, north2, 1.0e-2);
+}
+
+TEST(SphericalFbm, GoldenValues)
+{
+    SphericalFbm field(9, 4, 10.0);
+    EXPECT_EQ(field.at(0.3, 0.4, 0.0), 0x1.39af5973e87e4p-1);
+    EXPECT_EQ(field.at(-1.2, 2.9, 5.0), 0x1.7707b864553aap-2);
+    EXPECT_EQ(field.at(1.5707953, -3.1415, 123.4), 0x1.65c3823882303p-2);
+    EXPECT_EQ(field.at(0.0, 0.0, 0.0), 0x1.3b15844837492p-1);
+    EXPECT_EQ(field.at(-0.7, -1.9, 1e4), 0x1.11fcd93a18a27p-1);
+}
+
+TEST(SphericalFbm, TrigEntryPointMatchesAnglesBitForBit)
+{
+    SphericalFbm field(13, 4, 650.0);
+    Rng rng(18);
+    for (int i = 0; i < 2000; ++i) {
+        const double lat = rng.uniform(-kPi / 2.0, kPi / 2.0);
+        const double lon = rng.uniform(-7.0, 7.0);
+        const double time = rng.uniform(0.0, 100.0);
+        const SphereTrig dir = SphereTrig::of(lat, lon);
+        ASSERT_EQ(field.at(dir, time), field.at(lat, lon, time));
+        ASSERT_EQ(field.at(dir.withLat(lat * 0.5), time),
+                  field.at(lat * 0.5, lon, time));
+        ASSERT_EQ(field.at(dir.withLon(lon + 0.1), time),
+                  field.at(lat, lon + 0.1, time));
+    }
 }
 
 TEST(SphericalFbm, TimeEvolvesField)
