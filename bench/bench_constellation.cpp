@@ -28,10 +28,8 @@
  *                          threads and fail on any bit divergence
  */
 
-#include <chrono>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -46,16 +44,7 @@
 namespace {
 
 using namespace kodan;
-
-double
-timeSeconds(const std::function<void()> &fn)
-{
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
+using bench::timeSeconds;
 
 sim::ConstellationConfig
 makeScenario(int sats, int planes, int phasing, double days,

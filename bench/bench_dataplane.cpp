@@ -19,7 +19,6 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -82,13 +81,11 @@ main(int argc, char **argv)
     runtime.processFrames(frames); // warm
     double seconds = 0.0;
     for (int attempt = 0; attempt < tries; ++attempt) {
-        const auto start = std::chrono::steady_clock::now();
-        for (int r = 0; r < reps; ++r) {
-            runtime.processFrames(frames);
-        }
-        const double s = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
+        const double s = bench::timeSeconds([&] {
+            for (int r = 0; r < reps; ++r) {
+                runtime.processFrames(frames);
+            }
+        });
         seconds = attempt == 0 ? s : std::min(seconds, s);
     }
     const double fps =

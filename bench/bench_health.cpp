@@ -37,10 +37,8 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -55,16 +53,7 @@
 namespace {
 
 using namespace kodan;
-
-double
-timeSeconds(const std::function<void()> &fn)
-{
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
+using bench::timeSeconds;
 
 struct Scenario
 {

@@ -37,7 +37,6 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -64,16 +63,7 @@
 namespace {
 
 using namespace kodan;
-
-double
-timeSeconds(const std::function<void()> &fn)
-{
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
+using bench::timeSeconds;
 
 /** Paired timing round for the floored *_i8 ratios. */
 struct PairedTime

@@ -15,10 +15,8 @@
  * win.
  */
 
-#include <chrono>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -32,16 +30,7 @@
 namespace {
 
 using namespace kodan;
-
-double
-timeSeconds(const std::function<void()> &fn)
-{
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
+using bench::timeSeconds;
 
 struct Measurement
 {

@@ -53,32 +53,29 @@ computeBundle()
     std::cerr << "[kodan-bench] computing measured bundle "
                  "(one-time transformation for Apps 1-7, "
               << util::globalThreadCount() << " thread(s))...\n";
-    const auto start = std::chrono::steady_clock::now();
-    const data::GeoModel world;
-    const core::Transformer transformer(benchOptions());
-    const auto shared = transformer.prepareData(world);
-
     core::MeasuredBundle bundle;
-    bundle.prevalence = shared.prevalence;
-    bundle.apps.resize(hw::kAppCount);
+    const double elapsed = timeSeconds([&] {
+        const data::GeoModel world;
+        const core::Transformer transformer(benchOptions());
+        const auto shared = transformer.prepareData(world);
+        bundle.prevalence = shared.prevalence;
+        bundle.apps.resize(hw::kAppCount);
 
-    // Each application transform is independent and deterministic; fan
-    // the seven apps across the shared pool (KODAN_THREADS).
-    util::parallelFor(hw::kAppCount, [&](std::size_t i) {
-        const int tier = static_cast<int>(i) + 1;
-        const auto artifacts =
-            transformer.transformApp(core::Application{tier}, shared);
-        core::MeasuredApp &measured = bundle.apps[i];
-        measured.tier = tier;
-        measured.tables = artifacts.tables;
-        measured.direct_tables = artifacts.direct_tables;
-        measured.direct_tiles_per_frame = artifacts.direct_tiles_per_frame;
-        std::cerr << "[kodan-bench]   app " << tier << " done\n";
+        // Each application transform is independent and deterministic;
+        // fan the seven apps across the shared pool (KODAN_THREADS).
+        util::parallelFor(hw::kAppCount, [&](std::size_t i) {
+            const int tier = static_cast<int>(i) + 1;
+            const auto artifacts =
+                transformer.transformApp(core::Application{tier}, shared);
+            core::MeasuredApp &measured = bundle.apps[i];
+            measured.tier = tier;
+            measured.tables = artifacts.tables;
+            measured.direct_tables = artifacts.direct_tables;
+            measured.direct_tiles_per_frame =
+                artifacts.direct_tiles_per_frame;
+            std::cerr << "[kodan-bench]   app " << tier << " done\n";
+        });
     });
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
     std::cerr << "[kodan-bench] bundle computed in " << elapsed
               << " s wall clock\n";
     return bundle;
@@ -192,6 +189,16 @@ runRecordPath(const std::string &name)
 #else
     return file;
 #endif
+}
+
+double
+timeSeconds(const std::function<void()> &fn)
+{
+    const auto start = std::chrono::steady_clock::now();
+    fn();
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - start)
+        .count();
 }
 
 void

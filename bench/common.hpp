@@ -14,6 +14,7 @@
 #ifndef KODAN_BENCH_COMMON_HPP
 #define KODAN_BENCH_COMMON_HPP
 
+#include <functional>
 #include <string>
 
 #include "core/io.hpp"
@@ -59,6 +60,9 @@ core::DeploymentOutcome directDeploy(const core::MeasuredApp &app,
 core::SweepResult kodanSelect(const core::MeasuredApp &app,
                               const core::SystemProfile &profile,
                               const core::SweepOptions &options = {});
+
+/** Wall-clock seconds (steady clock) of one call of @p fn. */
+double timeSeconds(const std::function<void()> &fn);
 
 /** Print the standard bench banner. */
 void banner(const std::string &title, const std::string &paper_ref);

@@ -725,10 +725,23 @@ Mlp::load(std::istream &is)
     int softmax = 0;
     std::size_t hidden_count = 0;
     is >> config.input_dim >> config.output_dim >> softmax >> hidden_count;
+    // A corrupt stream must not size the allocations below: bound the
+    // stream state, every dimension and the parameter count first.
+    const auto width = [](int w) { return w >= 1 && w <= (1 << 16); };
+    bool ok = is && width(config.input_dim) && width(config.output_dim) &&
+              hidden_count <= 64;
     config.output = softmax ? OutputKind::Softmax : OutputKind::Sigmoid;
-    config.hidden.resize(hidden_count);
+    config.hidden.resize(ok ? hidden_count : 0);
+    std::size_t parameters = 0;
+    std::size_t fan_in = ok ? static_cast<std::size_t>(config.input_dim) : 0;
     for (auto &h : config.hidden) {
-        is >> h;
+        ok = ok && (is >> h) && width(h);
+        parameters += ok ? (fan_in + 1) * static_cast<std::size_t>(h) : 0;
+        fan_in = ok ? static_cast<std::size_t>(h) : fan_in;
+    }
+    parameters += (fan_in + 1) * static_cast<std::size_t>(config.output_dim);
+    if (!ok || parameters > (std::size_t{1} << 26)) {
+        util::fatal("Mlp::load: bad dimensions");
     }
     util::Rng rng(0);
     Mlp mlp(config, rng);

@@ -1,38 +1,24 @@
 /**
  * @file
- * Constellation-scale mission engine: sharded, chunked, memory-flat.
- *
- * MissionSim materializes every frame and drains a whole-mission
- * downlink budget at once — exact, but its footprint grows with
- * satellites x duration, which caps it at a handful of satellites over
- * short horizons. ConstellationEngine simulates hundreds to thousands
- * of satellites over a simulated year by restructuring the same
- * physical models around streaming:
+ * Constellation-scale mission runs: ConstellationEngine, the chunked,
+ * sharded, fluid-queue configuration of the one mission engine
+ * (sim/engine.hpp), sized for hundreds to thousands of satellites over
+ * a simulated year.
  *
  *  - **Time chunks.** The horizon is processed in fixed chunks
- *    (default one day). Each chunk runs the satellite-major parallel
- *    contact sweep (ContactFinder::findAllParallel), advances the
- *    resumable incremental ground scheduler
- *    (GroundSegmentScheduler::allocateSpan), then simulates capture /
- *    filtering / downlink for that span. Nothing is retained per frame
- *    or per window across chunks, so memory stays flat in the horizon.
- *  - **Shards.** Satellites are partitioned into shard work units
- *    scheduled on the deterministic ThreadPool. Each satellite owns an
- *    RNG stream derived from (seed, satellite index) and a journal
- *    lane (region, slot = index + 1) whose ordinal resumes across
- *    chunks, so results — MissionResult, journal bytes, TimeSeries
- *    bins — are bit-identical for any KODAN_THREADS and any shard
- *    size (proved by `ctest -L constellation`).
- *  - **Fluid downlink queues.** On-board backlog is modeled as two
- *    value-separated pools (filter products, raw frames) with a
- *    bounded storage capacity, drained through the contact runs the
- *    scheduler closes each chunk. This fluid approximation replaces
- *    MissionSim's per-item queue walk: aggregate bits and value flow
- *    match, per-item latency is not tracked.
- *  - **Streaming telemetry.** Per-bin aggregates go straight into the
- *    PR-4 TimeSeries (registered with capacity for the full horizon)
- *    through a serial fold per chunk; per-satellite journal events are
- *    emitted inside the work items under the resumable lane cursor.
+ *    (default one day), each advancing the resumable incremental ground
+ *    scheduler (GroundSegmentScheduler::allocateSpan). Nothing is
+ *    retained per frame or per window across chunks, so memory stays
+ *    flat in the horizon.
+ *  - **Shards.** Satellites are grouped into shard work units; results,
+ *    journal bytes and TimeSeries bins are bit-identical for any
+ *    KODAN_THREADS and any shard size (proved by
+ *    `ctest -L constellation`).
+ *  - **Fluid downlink queues.** On-board backlog is two value-separated
+ *    pools (filter products, raw frames) under a bounded storage
+ *    capacity, drained through the contact runs the scheduler closes
+ *    each chunk. Aggregate bits and value flow match MissionSim's
+ *    per-item queues; per-item latency is not tracked.
  */
 
 #ifndef KODAN_SIM_CONSTELLATION_HPP
@@ -52,9 +38,7 @@ struct ConstellationConfig
     /**
      * The mission scenario (constellation, ground segment, camera,
      * radio, duration, steps, seed, telemetry bin/prefix). Use
-     * MissionConfig::makeConstellation for multi-plane layouts. The
-     * mission's shard_size is ignored here; the engine uses the
-     * shard_size below.
+     * MissionConfig::makeConstellation for multi-plane layouts.
      */
     MissionConfig mission;
     /** Satellites per shard work unit (>= 1). Any value gives

@@ -5,7 +5,10 @@
  * Ties together orbit propagation, frame capture, the contended ground
  * segment, the downlink radio, and an abstract on-board filter to produce
  * per-satellite accounting of frames observed / processed / downlinked
- * and of data value density.
+ * and of data value density. MissionSim is the exact configuration of
+ * the mission engine (sim/engine.hpp): one chunk over the whole horizon,
+ * one satellite per work item, and per-item downlink queues with
+ * unbounded storage. ConstellationEngine is its chunked, fluid one.
  */
 
 #ifndef KODAN_SIM_MISSION_HPP
@@ -60,13 +63,6 @@ struct MissionConfig
      * them apart.
      */
     std::string telemetry_prefix = "sim";
-    /**
-     * Satellites per parallel work unit (shard). Results are bit-identical
-     * for any value — shards only coarsen scheduling, each satellite
-     * keeps its own RNG stream and journal lane. 0 = one satellite per
-     * work item.
-     */
-    std::size_t shard_size = 0;
 
     /**
      * Build an N-satellite, single-plane Landsat-8-like constellation
@@ -176,7 +172,8 @@ struct MissionResult
 };
 
 /**
- * The mission simulator.
+ * The mission simulator: the exact, whole-horizon configuration of the
+ * mission engine.
  */
 class MissionSim
 {
@@ -199,15 +196,11 @@ class MissionSim
   private:
     const data::GeoModel *world_;
     double fixed_prevalence_;
-
-    /** High-value fraction of a frame centered at the given point. */
-    double frameValueFraction(const orbit::Geodetic &center, double time,
-                              util::Rng &rng) const;
 };
 
 /**
  * High-value fraction of a frame centered at @p center at @p time —
- * the shared value model of MissionSim and ConstellationEngine. When
+ * the mission engine's value model. When
  * @p world is null, draws a Bernoulli with @p fixed_prevalence from
  * @p rng instead (one draw per call).
  */

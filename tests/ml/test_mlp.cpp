@@ -4,7 +4,11 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
 
+#include "core/engine.hpp"
+#include "data/tiler.hpp"
+#include "hw/target.hpp"
 #include "ml/mlp.hpp"
 
 namespace kodan::ml {
@@ -215,6 +219,65 @@ TEST(Mlp, DeeperModelsHaveMoreParameters)
         EXPECT_GT(net.parameterCount(), prev);
         prev = net.parameterCount();
     }
+}
+
+// Every architecture the model zoo builds — the seven application tiers
+// and the softmax context engine — survives save/load bit-for-bit.
+TEST(Mlp, ZooArchitecturesRoundTrip)
+{
+    std::vector<MlpConfig> zoo;
+    for (int tier = 1; tier <= hw::kAppCount; ++tier) {
+        zoo.push_back(binaryConfig(hw::CostModel::tierHidden(tier),
+                                   data::kBlockInputDim));
+    }
+    MlpConfig engine;
+    engine.input_dim = core::ContextEngine::kInputDim;
+    engine.hidden = {24, 16};
+    engine.output_dim = 6;
+    engine.output = OutputKind::Softmax;
+    zoo.push_back(engine);
+    for (const MlpConfig &config : zoo) {
+        util::Rng rng(11);
+        const Mlp net(config, rng);
+        std::stringstream first;
+        net.save(first);
+        const Mlp loaded = Mlp::load(first);
+        std::stringstream second;
+        loaded.save(second);
+        EXPECT_EQ(first.str(), second.str());
+    }
+}
+
+/** Load @p text as a model; exits through util::fatal when rejected. */
+void
+loadText(const std::string &text)
+{
+    std::istringstream is(text);
+    (void)Mlp::load(is);
+}
+
+TEST(MlpDeathTest, LoadRejectsNegativeInputDim)
+{
+    EXPECT_EXIT(loadText("mlp 1\n-3 1 0 1 4\n"),
+                ::testing::ExitedWithCode(1), "Mlp::load: bad dimensions");
+}
+
+TEST(MlpDeathTest, LoadRejectsHugeHiddenCount)
+{
+    EXPECT_EXIT(loadText("mlp 1\n2 1 0 1099511627776 4\n"),
+                ::testing::ExitedWithCode(1), "Mlp::load: bad dimensions");
+}
+
+TEST(MlpDeathTest, LoadRejectsZeroHiddenWidth)
+{
+    EXPECT_EXIT(loadText("mlp 1\n2 1 0 2 4 0\n"),
+                ::testing::ExitedWithCode(1), "Mlp::load: bad dimensions");
+}
+
+TEST(MlpDeathTest, LoadRejectsHeaderTruncatedAfterOutputDim)
+{
+    EXPECT_EXIT(loadText("mlp 1\n2 1"), ::testing::ExitedWithCode(1),
+                "Mlp::load: bad dimensions");
 }
 
 } // namespace
