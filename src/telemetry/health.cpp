@@ -112,7 +112,7 @@ struct HealthPlane::Impl
     std::vector<AlertRule> rules;
     /** Signals named by rules, interned at addRule. Slots are never
      *  removed (only configure() clears the table), so per-entity
-     *  last_bin indices stay valid across clearRules(). */
+     *  last_bin indices stay valid as rules are added. */
     std::vector<SignalSlot> signals;
     std::map<EntityKey, EntityState> entities;
     std::vector<Alert> alerts;
@@ -463,17 +463,6 @@ HealthPlane::addRule(const AlertRule &rule)
     impl_->rebindSignals();
 }
 
-void
-HealthPlane::clearRules()
-{
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->rules.clear();
-    impl_->rebindSignals();
-    for (auto &[key, entity] : impl_->entities) {
-        entity.states.clear();
-    }
-}
-
 std::vector<AlertRule>
 HealthPlane::rules() const
 {
@@ -761,42 +750,6 @@ writeAlertsJsonl(const std::vector<Alert> &alerts, std::ostream &out)
     for (const Alert &alert : alerts) {
         writeAlertBody(alert, out);
         out << "\n";
-    }
-}
-
-void
-writeHealthTable(const HealthSnapshot &snapshot, std::ostream &out)
-{
-    out << "entities=" << snapshot.entities
-        << " observations=" << snapshot.observations
-        << " alerts_fired=" << snapshot.alerts_fired
-        << " firing=" << snapshot.alerts_firing << "\n";
-    out << "  entity             obs    anomalous  alerts  score\n";
-    const auto row = [&out](const std::string &label,
-                            const RollupEntry &entry) {
-        out << "  " << label;
-        for (std::size_t pad = label.size(); pad < 17; ++pad) {
-            out << ' ';
-        }
-        out << "  " << entry.observations << "  " << entry.anomalous
-            << "  " << entry.alerts_fired << "  " << entry.score_sum
-            << "\n";
-    };
-    for (const RollupEntry &entry : snapshot.top) {
-        row(std::string(entityKindName(entry.kind)) + "/" +
-                std::to_string(entry.entity),
-            entry);
-    }
-    if (snapshot.other.members > 0) {
-        row("other(" + std::to_string(snapshot.other.members) + ")",
-            snapshot.other);
-    }
-    for (const Alert &alert : snapshot.alerts) {
-        out << "  [" << (alert.firing ? "firing" : "resolved") << "] "
-            << alert.rule << " " << entityKindName(alert.entity_kind)
-            << "/" << alert.entity << " bins " << alert.first_bin
-            << ".." << alert.last_bin << " peak " << alert.peak_value
-            << " last " << alert.last_value << "\n";
     }
 }
 

@@ -228,7 +228,6 @@ class HealthPlane
     void reset();
 
     void addRule(const AlertRule &rule);
-    void clearRules();
     std::vector<AlertRule> rules() const;
 
     /**
@@ -305,9 +304,6 @@ void installDefaultRules(HealthPlane &plane);
  *  order fixed — the bytes are part of the determinism contract. */
 void writeAlertsJsonl(const std::vector<Alert> &alerts,
                       std::ostream &out);
-
-/** Human-oriented rollup + alert table (kodan-report health). */
-void writeHealthTable(const HealthSnapshot &snapshot, std::ostream &out);
 
 } // namespace kodan::telemetry::health
 

@@ -5,10 +5,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <fstream>
 #include <memory>
 #include <mutex>
-#include <sstream>
 
 #include "telemetry/export.hpp"
 
@@ -61,17 +59,17 @@ journalNumber(double value)
 }
 
 /**
- * One event as a JSON object body (no seq, no trailing newline):
- * {"region": R, "slot": S, "ord": O, "type": "...", "fields": {...}}.
- * Shared by the sorted JSONL export and the live stream tap so both
- * produce identical field formatting.
+ * One export line: {"seq": N, "region": R, "slot": S, "ord": O,
+ * "type": "...", "fields": {...}} plus the newline.
  */
 void
-writeJournalEventBody(const JournalEvent &event, std::ostream &os)
+writeJournalLine(std::size_t seq, const JournalEvent &event,
+                 std::ostream &os)
 {
-    os << "{\"region\": " << event.region << ", \"slot\": " << event.slot
-       << ", \"ord\": " << event.ord << ", \"type\": \""
-       << jsonEscape(event.type) << "\", \"fields\": {";
+    os << "{\"seq\": " << seq << ", \"region\": " << event.region
+       << ", \"slot\": " << event.slot << ", \"ord\": " << event.ord
+       << ", \"type\": \"" << jsonEscape(event.type)
+       << "\", \"fields\": {";
     for (std::size_t i = 0; i < event.fields.size(); ++i) {
         const JournalField &field = event.fields[i];
         os << (i > 0 ? ", " : "") << "\"" << jsonEscape(field.name)
@@ -88,7 +86,7 @@ writeJournalEventBody(const JournalEvent &event, std::ostream &os)
             break;
         }
     }
-    os << "}}";
+    os << "}}\n";
 }
 
 /**
@@ -205,39 +203,6 @@ class JournalStore
         ring_resolved_.store(true, std::memory_order_relaxed);
     }
 
-    void setStreamPath(const std::string &path)
-    {
-        std::lock_guard<std::mutex> lock(stream_mutex_);
-        stream_.reset();
-        if (!path.empty()) {
-            stream_ = std::make_unique<std::ofstream>(
-                path, std::ios::out | std::ios::app);
-        }
-        stream_on_.store(stream_ != nullptr && !!*stream_,
-                         std::memory_order_relaxed);
-        stream_resolved_.store(true, std::memory_order_relaxed);
-    }
-
-    bool streamOn()
-    {
-        if (!stream_resolved_.load(std::memory_order_relaxed)) {
-            const char *env = std::getenv("KODAN_JOURNAL_STREAM");
-            setStreamPath(env != nullptr ? env : "");
-        }
-        return stream_on_.load(std::memory_order_relaxed);
-    }
-
-    void streamEvent(const JournalEvent &event)
-    {
-        std::lock_guard<std::mutex> lock(stream_mutex_);
-        if (stream_ == nullptr || !*stream_) {
-            return;
-        }
-        writeJournalEventBody(event, *stream_);
-        *stream_ << "\n";
-        stream_->flush();
-    }
-
     std::size_t ringCapacity()
     {
         if (!ring_resolved_.load(std::memory_order_relaxed)) {
@@ -259,10 +224,6 @@ class JournalStore
     std::atomic<std::uint64_t> next_region_{1};
     std::atomic<std::size_t> ring_capacity_{0};
     std::atomic<bool> ring_resolved_{false};
-    std::mutex stream_mutex_;
-    std::unique_ptr<std::ofstream> stream_;
-    std::atomic<bool> stream_on_{false};
-    std::atomic<bool> stream_resolved_{false};
 };
 
 int
@@ -332,12 +293,6 @@ std::size_t
 journalRingCapacity()
 {
     return JournalStore::instance().ringCapacity();
-}
-
-void
-setJournalStreamPath(const std::string &path)
-{
-    JournalStore::instance().setStreamPath(path);
 }
 
 JournalRegion::JournalRegion(const char *name)
@@ -420,9 +375,6 @@ JournalEventBuilder::~JournalEventBuilder()
         return;
     }
     JournalStore &store = JournalStore::instance();
-    if (store.streamOn()) {
-        store.streamEvent(event_);
-    }
     store.threadBuffer().push(std::move(event_), store.ringCapacity());
 }
 
@@ -490,11 +442,7 @@ writeJournalJsonl(const std::vector<JournalEvent> &events,
     os << "{\"kodan_journal\": 1, \"events\": " << events.size()
        << ", \"dropped\": " << dropped << "}\n";
     for (std::size_t seq = 0; seq < events.size(); ++seq) {
-        os << "{\"seq\": " << seq << ", ";
-        // Splice the shared body after the seq key: drop its '{'.
-        std::ostringstream body;
-        writeJournalEventBody(events[seq], body);
-        os << body.str().substr(1) << "\n";
+        writeJournalLine(seq, events[seq], os);
     }
 }
 

@@ -148,16 +148,6 @@ void setJournalRingCapacity(std::size_t events_per_thread);
 std::size_t journalRingCapacity();
 
 /**
- * Live stream tap: append every event, as it commits, to the JSONL
- * file at @p path (no header line; one event object per line, no seq).
- * This is a *live view* for tailing tools (kodan-top --follow): lines
- * appear in arrival order, which depends on thread interleaving — the
- * deterministic record remains the collected/sorted export. An empty
- * path disables the tap. Also settable via KODAN_JOURNAL_STREAM.
- */
-void setJournalStreamPath(const std::string &path);
-
-/**
  * RAII bracket of one deterministic unit of work. Allocates the next
  * region id, emits a `<name>.begin` event, and routes the constructing
  * thread's events to the region's slot 0 until destruction (which

@@ -27,7 +27,6 @@
 #define KODAN_TELEMETRY_METRICS_HPP
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -194,38 +193,6 @@ class Timer
     };
 
     Shard shards_[kMetricShards];
-};
-
-/**
- * RAII wall-clock scope feeding a Timer. A null timer records nothing
- * and reads no clock (the disabled fast path).
- */
-class ScopedTimer
-{
-  public:
-    explicit ScopedTimer(Timer *timer)
-        : timer_(timer)
-    {
-        if (timer_ != nullptr) {
-            start_ = std::chrono::steady_clock::now();
-        }
-    }
-
-    ScopedTimer(const ScopedTimer &) = delete;
-    ScopedTimer &operator=(const ScopedTimer &) = delete;
-
-    ~ScopedTimer()
-    {
-        if (timer_ != nullptr) {
-            timer_->record(std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - start_)
-                               .count());
-        }
-    }
-
-  private:
-    Timer *timer_;
-    std::chrono::steady_clock::time_point start_;
 };
 
 /** One metric's merged reading. */

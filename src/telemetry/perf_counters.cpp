@@ -1,8 +1,6 @@
 #include "telemetry/perf_counters.hpp"
 
 #include <cerrno>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -103,12 +101,6 @@ struct ThreadCounters
         if (g_source.load(std::memory_order_relaxed) ==
             static_cast<int>(CounterSource::Rusage)) {
             return;
-        }
-        if (const char *env = std::getenv("KODAN_PROF_FORCE_RUSAGE")) {
-            if (std::strcmp(env, "0") != 0) {
-                resolve(CounterSource::Rusage);
-                return;
-            }
         }
         struct Spec
         {

@@ -167,41 +167,6 @@ SpanTableSnapshot spanTableSnapshot();
 /** Zero every span site (registrations persist). */
 void resetSpanTable();
 
-/**
- * RAII counter scope feeding a SpanSite. A null site reads nothing —
- * the disabled fast path costs the one relaxed load the macro already
- * paid.
- */
-class ScopedSpanCounters
-{
-  public:
-    explicit ScopedSpanCounters(SpanSite *site)
-        : site_(site)
-    {
-        if (site_ != nullptr) {
-            ok_ = readThreadCounters(start_);
-        }
-    }
-
-    ScopedSpanCounters(const ScopedSpanCounters &) = delete;
-    ScopedSpanCounters &operator=(const ScopedSpanCounters &) = delete;
-
-    ~ScopedSpanCounters()
-    {
-        if (site_ != nullptr && ok_) {
-            CounterReading end;
-            if (readThreadCounters(end)) {
-                site_->accumulate(start_, end);
-            }
-        }
-    }
-
-  private:
-    SpanSite *site_;
-    CounterReading start_{};
-    bool ok_ = false;
-};
-
 } // namespace kodan::telemetry::prof
 
 #endif // KODAN_TELEMETRY_PERF_COUNTERS_HPP

@@ -98,7 +98,6 @@ std::atomic<std::size_t> g_ring_words{std::size_t{1} << 17};
 std::atomic<std::uint64_t> g_unregistered_hits{0};
 
 std::atomic<bool> g_prof_enabled{false};
-std::atomic<int> g_hz_override{0};
 std::mutex g_path_mutex;
 std::string g_profile_path; // guarded by g_path_mutex
 
@@ -209,19 +208,6 @@ workerStartHook()
     }
 }
 
-/** foo.json -> foo<suffix>; anything else gets <suffix> appended. */
-std::string
-siblingPathFor(const std::string &path, const char *sibling)
-{
-    const std::string suffix = ".json";
-    if (path.size() > suffix.size() &&
-        path.compare(path.size() - suffix.size(), suffix.size(),
-                     suffix) == 0) {
-        return path.substr(0, path.size() - suffix.size()) + sibling;
-    }
-    return path + sibling;
-}
-
 } // namespace
 
 std::string
@@ -272,12 +258,6 @@ samplerSupported()
 #else
     return false;
 #endif
-}
-
-bool
-samplingActive()
-{
-    return g_sampling.load(std::memory_order_relaxed);
 }
 
 void
@@ -555,13 +535,7 @@ setProfilingEnabled(bool on)
         util::setWorkerStartHook(&workerStartHook);
         setCountersEnabled(true);
         if (samplerSupported()) {
-            SamplerOptions options;
-            const int hz =
-                g_hz_override.load(std::memory_order_relaxed);
-            if (hz > 0) {
-                options.hz = hz;
-            }
-            startSampler(options);
+            startSampler();
         }
     } else {
         stopSampler();
@@ -587,12 +561,6 @@ setProfileOutputPath(const std::string &path)
 bool
 configureFromEnv()
 {
-    if (const char *hz = std::getenv("KODAN_PROF_HZ")) {
-        const int value = std::atoi(hz);
-        if (value > 0) {
-            g_hz_override.store(value, std::memory_order_relaxed);
-        }
-    }
     const char *env = std::getenv("KODAN_PROF");
     if (env == nullptr || *env == '\0' || std::strcmp(env, "0") == 0 ||
         std::strcmp(env, "false") == 0 || std::strcmp(env, "off") == 0) {
@@ -638,7 +606,7 @@ writeProfileOutputs()
                   << " samples, counters: " << counterSourceName()
                   << ") to " << path << "\n";
     }
-    const std::string folded_path = siblingPathFor(path, ".folded");
+    const std::string folded_path = siblingPath(path, ".folded");
     std::ofstream folded_file(folded_path);
     if (!folded_file) {
         std::cerr << "[kodan-prof] cannot write " << folded_path

@@ -57,9 +57,6 @@ struct SamplerOptions
  *  attribution (perf_counters.hpp) is independent and still works. */
 bool samplerSupported();
 
-/** Is the sampler currently armed? */
-bool samplingActive();
-
 /**
  * Install the SIGPROF handler, register the calling thread, and arm a
  * per-thread interval timer for every registered thread. Idempotent.
@@ -167,8 +164,9 @@ void setProfileOutputPath(const std::string &path);
 /**
  * Resolve the KODAN_PROF env toggle: "1"/"true"/"on" enables profiling
  * with a stderr summary, any other non-off value is used as the
- * output path (mirrors KODAN_ALERTS). KODAN_PROF_HZ overrides the
- * sampling rate. @return true if profiling is enabled afterwards.
+ * output path (mirrors KODAN_ALERTS). The sampler runs at the
+ * SamplerOptions default rate. @return true if profiling is enabled
+ * afterwards.
  */
 bool configureFromEnv();
 

@@ -1163,6 +1163,12 @@ writeProfileMarkdown(const ProfileDoc &doc, const std::string &label,
            << "| span | calls | task-clock s | cycles | instructions "
               "| IPC | LLC miss | branch miss |\n"
            << "| --- | --- | --- | --- | --- | --- | --- | --- |\n";
+        // Without perf_event the hardware columns were never read:
+        // print them as unavailable, not as zero.
+        const bool hw = doc.span_source == "perf_event";
+        const auto hwCell = [hw](std::uint64_t value) {
+            return hw ? std::to_string(value) : std::string("n/a");
+        };
         std::size_t shown = 0;
         for (const ProfileSpanRow &row : rows) {
             if (shown++ >= top) {
@@ -1170,16 +1176,18 @@ writeProfileMarkdown(const ProfileDoc &doc, const std::string &label,
             }
             os << "| `" << row.name << "` | " << row.calls << " | "
                << shortNum(static_cast<double>(row.task_clock_ns) * 1e-9)
-               << " | " << row.cycles << " | " << row.instructions
-               << " | ";
-            if (row.cycles > 0) {
+               << " | " << hwCell(row.cycles) << " | "
+               << hwCell(row.instructions) << " | ";
+            if (!hw) {
+                os << "n/a";
+            } else if (row.cycles > 0) {
                 os << shortNum(static_cast<double>(row.instructions) /
                                static_cast<double>(row.cycles));
             } else {
                 os << "-";
             }
-            os << " | " << row.llc_misses << " | " << row.branch_misses
-               << " |\n";
+            os << " | " << hwCell(row.llc_misses) << " | "
+               << hwCell(row.branch_misses) << " |\n";
         }
     }
 }
@@ -1228,8 +1236,13 @@ writeProfileDiffMarkdown(const ProfileDiffResult &diff,
             os << "| `" << row.name << "` | " << shortNum(row.base_s)
                << " | " << shortNum(row.cur_s) << " | "
                << shortNum(row.delta_s) << " | " << row.base_calls
-               << " | " << row.cur_calls << " | " << row.delta_cycles
-               << " |\n";
+               << " | " << row.cur_calls << " | ";
+            if (diff.spans_use_cycles) {
+                os << row.delta_cycles;
+            } else {
+                os << "n/a";
+            }
+            os << " |\n";
         }
     }
     if (!diff.findings.findings.empty()) {

@@ -20,21 +20,6 @@ std::string g_lineage_output_path; // guarded by g_output_mutex
 std::string g_alerts_output_path;  // guarded by g_output_mutex
 std::atomic<bool> g_exit_hook_armed{false};
 
-/** foo.json -> foo<suffix>; anything else gets <suffix> appended. */
-std::string
-siblingPathFor(const std::string &metrics_path, const char *sibling)
-{
-    const std::string suffix = ".json";
-    if (metrics_path.size() > suffix.size() &&
-        metrics_path.compare(metrics_path.size() - suffix.size(),
-                             suffix.size(), suffix) == 0) {
-        return metrics_path.substr(0,
-                                   metrics_path.size() - suffix.size()) +
-               sibling;
-    }
-    return metrics_path + sibling;
-}
-
 void
 armExitHook()
 {
@@ -230,7 +215,7 @@ writeMetricsOutputs(const std::string &path)
         std::cerr << "[kodan-telemetry] wrote metrics snapshot to "
                   << path << "\n";
     }
-    const std::string trace_path = siblingPathFor(path, ".trace.json");
+    const std::string trace_path = siblingPath(path, ".trace.json");
     std::ofstream trace_file(trace_path);
     if (!trace_file) {
         std::cerr << "[kodan-telemetry] cannot write " << trace_path
@@ -242,19 +227,9 @@ writeMetricsOutputs(const std::string &path)
         std::cerr << "[kodan-telemetry] wrote Chrome trace to "
                   << trace_path << " (load at chrome://tracing)\n";
     }
-    const std::string prom_path = siblingPathFor(path, ".prom");
-    std::ofstream prom_file(prom_path);
-    if (!prom_file) {
-        std::cerr << "[kodan-telemetry] cannot write " << prom_path
-                  << "\n";
-    } else {
-        writePrometheusText(snapshot, prom_file);
-        std::cerr << "[kodan-telemetry] wrote Prometheus exposition to "
-                  << prom_path << "\n";
-    }
     const TimeSeriesSnapshot series = timeSeriesSnapshot();
     const std::string ts_json_path =
-        siblingPathFor(path, ".timeseries.json");
+        siblingPath(path, ".timeseries.json");
     std::ofstream ts_json(ts_json_path);
     if (!ts_json) {
         std::cerr << "[kodan-telemetry] cannot write " << ts_json_path
@@ -265,7 +240,7 @@ writeMetricsOutputs(const std::string &path)
                   << " time series to " << ts_json_path << "\n";
     }
     const std::string ts_csv_path =
-        siblingPathFor(path, ".timeseries.csv");
+        siblingPath(path, ".timeseries.csv");
     std::ofstream ts_csv(ts_csv_path);
     if (!ts_csv) {
         std::cerr << "[kodan-telemetry] cannot write " << ts_csv_path

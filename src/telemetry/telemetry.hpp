@@ -53,8 +53,7 @@ namespace kodan::telemetry {
  *    prof.hpp) and writes the profile JSON to <path> and the folded
  *    stacks beside it (foo.json -> foo.folded) at exit.
  * With `--telemetry-out foo.json`, the exit hook also writes the
- * sim-time series beside it (foo.timeseries.json + foo.timeseries.csv)
- * and the Prometheus text exposition of the final metrics (foo.prom).
+ * sim-time series beside it (foo.timeseries.json + foo.timeseries.csv).
  * Honors the KODAN_TELEMETRY / KODAN_JOURNAL / KODAN_LINEAGE /
  * KODAN_ALERTS / KODAN_PROF env toggles either way (enabled without a
  * path, the exit hook prints a summary to stderr instead; path-like
@@ -121,7 +120,6 @@ void resetAll();
 #define KODAN_TS_RECORD(name_, t_, v_, bin_s_) ((void)0)
 #define KODAN_TIME_SCOPE(name_) ((void)0)
 #define KODAN_TRACE_SPAN(name_) ((void)0)
-#define KODAN_PROF_COUNTERS_SCOPE(name_) ((void)0)
 #define KODAN_TRACE_SCOPE(name_) ((void)0)
 
 #else
@@ -198,51 +196,56 @@ void resetAll();
         }                                                                  \
     } while (0)
 
+/** The registry timer @p name_ (lookup cached per site). */
+#define KODAN_TM_TIMER(name_)                                              \
+    (&[]() -> ::kodan::telemetry::Timer & {                                \
+        static ::kodan::telemetry::Timer &kodan_tm_handle =                \
+            ::kodan::telemetry::registry().timer(name_);                   \
+        return kodan_tm_handle;                                            \
+    }())
+
+/** The span counter site @p name_ (lookup cached per site). */
+#define KODAN_TM_SITE(name_)                                               \
+    (&[]() -> ::kodan::telemetry::prof::SpanSite & {                       \
+        static ::kodan::telemetry::prof::SpanSite &kodan_tm_handle =       \
+            ::kodan::telemetry::prof::spanSite(name_);                     \
+        return kodan_tm_handle;                                            \
+    }())
+
+/** One ScopeRecord for this scope (see trace.hpp). */
+#define KODAN_TM_SCOPE_RECORD(timer_, span_, site_)                        \
+    ::kodan::telemetry::ScopeRecord KODAN_TM_CAT(kodan_tm_scope_,          \
+                                                 __LINE__)(               \
+        timer_, span_, site_)
+
 /** Time this scope's wall clock into timer @p name_. */
 #define KODAN_TIME_SCOPE(name_)                                            \
-    ::kodan::telemetry::ScopedTimer KODAN_TM_CAT(kodan_tm_timer_,          \
-                                                 __LINE__)(               \
-        ::kodan::telemetry::enabled()                                      \
-            ? &[]() -> ::kodan::telemetry::Timer & {                       \
-                  static ::kodan::telemetry::Timer &kodan_tm_handle =      \
-                      ::kodan::telemetry::registry().timer(name_);         \
-                  return kodan_tm_handle;                                  \
-              }()                                                          \
-            : nullptr)
+    KODAN_TM_SCOPE_RECORD(::kodan::telemetry::enabled()                    \
+                              ? KODAN_TM_TIMER(name_)                      \
+                              : nullptr,                                   \
+                          nullptr, nullptr)
 
 /** Record this scope as a trace span named @p name_. */
 #define KODAN_TRACE_SPAN(name_)                                            \
-    ::kodan::telemetry::ScopedSpan KODAN_TM_CAT(kodan_tm_span_,            \
-                                                __LINE__)(name_)
+    KODAN_TM_SCOPE_RECORD(nullptr,                                         \
+                          ::kodan::telemetry::enabled() ? (name_)          \
+                                                        : nullptr,         \
+                          nullptr)
 
 /**
- * Charge this scope's hardware counter deltas (cycles, instructions,
- * LLC/branch misses, task-clock — or the rusage fallback) to the span
- * counter row @p name_. Gated on prof::countersEnabled(), one relaxed
- * load while profiling is off; the site handle is cached like the
- * metric macros above.
- */
-#define KODAN_PROF_COUNTERS_SCOPE(name_)                                   \
-    ::kodan::telemetry::prof::ScopedSpanCounters KODAN_TM_CAT(            \
-        kodan_tm_prof_, __LINE__)(                                         \
-        ::kodan::telemetry::prof::countersEnabled()                        \
-            ? &[]() -> ::kodan::telemetry::prof::SpanSite & {              \
-                  static ::kodan::telemetry::prof::SpanSite               \
-                      &kodan_tm_handle =                                   \
-                          ::kodan::telemetry::prof::spanSite(name_);       \
-                  return kodan_tm_handle;                                  \
-              }()                                                          \
-            : nullptr)
-
-/**
- * The full stage-attribution scope: wall-clock timer + trace span +
- * per-span hardware counters under one name. This is the macro for
+ * The stage-attribution scope: one record with a wall-clock timer and
+ * a trace span under @p name_ (gated on enabled()), plus the scope's
+ * hardware counter deltas charged to the span counter row @p name_
+ * (gated on prof::countersEnabled(); cycles, instructions, LLC/branch
+ * misses, task-clock, or the rusage fallback). This is the macro for
  * stage/phase boundaries (engines, runtime stages, ML kernels).
  */
 #define KODAN_TRACE_SCOPE(name_)                                           \
-    KODAN_TIME_SCOPE(name_);                                               \
-    KODAN_TRACE_SPAN(name_);                                               \
-    KODAN_PROF_COUNTERS_SCOPE(name_)
+    KODAN_TM_SCOPE_RECORD(                                                 \
+        ::kodan::telemetry::enabled() ? KODAN_TM_TIMER(name_) : nullptr,   \
+        ::kodan::telemetry::enabled() ? (name_) : nullptr,                 \
+        ::kodan::telemetry::prof::countersEnabled() ? KODAN_TM_SITE(name_) \
+                                                    : nullptr)
 
 #endif // KODAN_TELEMETRY_DISABLED
 

@@ -4,6 +4,12 @@
 
 namespace kodan::telemetry {
 
+namespace {
+
+using Micros = std::chrono::duration<double, std::micro>;
+
+} // namespace
+
 TraceRing::TraceRing(int tid, std::size_t capacity)
     : ring_(capacity), capacity_(capacity), tid_(tid)
 {
@@ -65,14 +71,6 @@ Tracer::instance()
     return *tracer;
 }
 
-double
-Tracer::nowMicros() const
-{
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now() - epoch_)
-        .count();
-}
-
 TraceRing &
 Tracer::threadRing()
 {
@@ -86,12 +84,14 @@ Tracer::threadRing()
 }
 
 void
-Tracer::recordSpan(std::string name, double start_us, double dur_us)
+Tracer::recordSpan(std::string name,
+                   std::chrono::steady_clock::time_point start,
+                   std::chrono::steady_clock::duration elapsed)
 {
     TraceEvent event;
     event.name = std::move(name);
-    event.start_us = start_us;
-    event.dur_us = dur_us;
+    event.start_us = Micros(start - epoch_).count();
+    event.dur_us = Micros(elapsed).count();
     TraceRing &ring = threadRing();
     event.tid = ring.tid();
     ring.push(std::move(event));
@@ -102,7 +102,7 @@ Tracer::recordInstant(std::string name)
 {
     TraceEvent event;
     event.name = std::move(name);
-    event.start_us = nowMicros();
+    event.start_us = Micros(std::chrono::steady_clock::now() - epoch_).count();
     event.dur_us = -1.0;
     TraceRing &ring = threadRing();
     event.tid = ring.tid();
@@ -146,6 +146,39 @@ Tracer::reset()
     std::lock_guard<std::mutex> lock(mutex_);
     for (const auto &ring : rings_) {
         ring->clear();
+    }
+}
+
+void
+ScopeRecord::begin()
+{
+    if (timer_ != nullptr || span_ != nullptr) {
+        start_ = std::chrono::steady_clock::now();
+    }
+    if (site_ != nullptr && !prof::readThreadCounters(counters_)) {
+        site_ = nullptr;
+    }
+}
+
+void
+ScopeRecord::end()
+{
+    if (site_ != nullptr) {
+        prof::CounterReading exit_counters;
+        if (prof::readThreadCounters(exit_counters)) {
+            site_->accumulate(counters_, exit_counters);
+        }
+    }
+    if (timer_ == nullptr && span_ == nullptr) {
+        return;
+    }
+    const std::chrono::steady_clock::duration elapsed =
+        std::chrono::steady_clock::now() - start_;
+    if (timer_ != nullptr) {
+        timer_->record(std::chrono::duration<double>(elapsed).count());
+    }
+    if (span_ != nullptr) {
+        Tracer::instance().recordSpan(span_, start_, elapsed);
     }
 }
 

@@ -11,12 +11,15 @@
  * events collectable. Timestamps are steady-clock microseconds since
  * tracer start — wall-clock data, intentionally outside the repo's
  * determinism contract; spans never read the clock while telemetry is
- * disabled.
+ * disabled. Spans are recorded by ScopeRecord (below), which also feeds
+ * the scope's metrics Timer and span counter row from one pair of
+ * clock readings.
  */
 
 #ifndef KODAN_TELEMETRY_TRACE_HPP
 #define KODAN_TELEMETRY_TRACE_HPP
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -25,6 +28,7 @@
 #include <vector>
 
 #include "telemetry/metrics.hpp"
+#include "telemetry/perf_counters.hpp"
 
 namespace kodan::telemetry {
 
@@ -84,14 +88,14 @@ class Tracer
 
     static Tracer &instance();
 
-    /** Microseconds since tracer construction (steady clock). */
-    double nowMicros() const;
-
     /** The calling thread's ring (created and registered on first use). */
     TraceRing &threadRing();
 
-    /** Record a completed span on the calling thread. */
-    void recordSpan(std::string name, double start_us, double dur_us);
+    /** Record a completed span on the calling thread, from the two
+     *  steady-clock readings of a ScopeRecord. */
+    void recordSpan(std::string name,
+                    std::chrono::steady_clock::time_point start,
+                    std::chrono::steady_clock::duration elapsed);
 
     /** Record an instant event on the calling thread. */
     void recordInstant(std::string name);
@@ -115,35 +119,49 @@ class Tracer
 };
 
 /**
- * RAII span: records [construction, destruction) into the calling
- * thread's ring when telemetry is enabled. Use via KODAN_TRACE_SPAN.
+ * The one per-scope measurement record behind KODAN_TIME_SCOPE,
+ * KODAN_TRACE_SPAN and KODAN_TRACE_SCOPE. Each part is optional: a
+ * metrics Timer, a trace span name (a string literal), and a span
+ * counter site. The steady clock is read once on entry and once on
+ * exit, and only when a timer or a span is present; the timer's
+ * seconds and the span's start and duration come from those same two
+ * readings. The counter site reads the thread's counters
+ * (perf_counters.hpp) inside that window. An all-null record reads
+ * nothing, which is the disabled fast path.
  */
-class ScopedSpan
+class ScopeRecord
 {
   public:
-    explicit ScopedSpan(const char *name)
+    ScopeRecord(Timer *timer, const char *span, prof::SpanSite *site)
+        : timer_(timer), span_(span), site_(site)
     {
-        if (enabled()) {
-            name_ = name;
-            start_us_ = Tracer::instance().nowMicros();
+        if (timer_ != nullptr || span_ != nullptr || site_ != nullptr) {
+            begin();
         }
     }
 
-    ScopedSpan(const ScopedSpan &) = delete;
-    ScopedSpan &operator=(const ScopedSpan &) = delete;
+    ScopeRecord(const ScopeRecord &) = delete;
+    ScopeRecord &operator=(const ScopeRecord &) = delete;
 
-    ~ScopedSpan()
+    ~ScopeRecord()
     {
-        if (name_ != nullptr) {
-            Tracer &tracer = Tracer::instance();
-            tracer.recordSpan(name_, start_us_,
-                              tracer.nowMicros() - start_us_);
+        if (timer_ != nullptr || span_ != nullptr || site_ != nullptr) {
+            end();
         }
     }
 
   private:
-    const char *name_ = nullptr;
-    double start_us_ = 0.0;
+    /** Entry readings: the clock, then the thread's counters. Kept out
+     *  of line so the disabled path inlines to three null tests. */
+    void begin();
+    /** Exit readings in reverse order, then record each part. */
+    void end();
+
+    Timer *timer_;
+    const char *span_;
+    prof::SpanSite *site_;
+    std::chrono::steady_clock::time_point start_{};
+    prof::CounterReading counters_{};
 };
 
 } // namespace kodan::telemetry

@@ -95,7 +95,7 @@ TEST(ProfCounters, ForcedOpenFailureFallsBackToRusage)
         std::thread worker([&sink] {
             SpanSite &site = spanSite("test.prof.fallback");
             for (int i = 0; i < 8; ++i) {
-                ScopedSpanCounters scope(&site);
+                ScopeRecord scope(nullptr, nullptr, &site);
                 sink += burn();
             }
         });
@@ -126,7 +126,7 @@ TEST(ProfCounters, FallbackSpanTableRoundTripsThroughProfileJson)
     std::thread worker([] {
         SpanSite &site = spanSite("test.prof.roundtrip");
         for (int i = 0; i < 5; ++i) {
-            ScopedSpanCounters scope(&site);
+            ScopeRecord scope(nullptr, nullptr, &site);
             burn();
         }
     });
@@ -158,7 +158,7 @@ TEST(ProfCounters, SpanCallsAccumulateExactlyAcrossThreads)
     for (int t = 0; t < kThreads; ++t) {
         workers.emplace_back([&site] {
             for (int i = 0; i < kScopesPerThread; ++i) {
-                ScopedSpanCounters scope(&site);
+                ScopeRecord scope(nullptr, nullptr, &site);
                 burn();
             }
         });

@@ -1,12 +1,17 @@
 /**
  * @file
- * Tests for the scoped-span tracer, its ring buffers, the JSON/Chrome
- * exporters, and the util::log -> telemetry bridge.
+ * Tests for the scoped-span tracer, its ring buffers, the one scope
+ * record behind the stage macros, the JSON/Chrome exporters, the exit
+ * hook's output file set, and the util::log -> telemetry bridge.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdlib>
+#include <filesystem>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -97,7 +102,68 @@ TEST(Trace, CollectIsSortedByStartTime)
     }
 }
 
+TEST(Trace, TraceScopeIsOneRecordPerCall)
+{
+    TelemetryGuard guard;
+    prof::resetSpanTable();
+    prof::setCountersEnabled(true);
+    constexpr int kScopes = 200;
+    double sink = 0.0;
+    for (int i = 0; i < kScopes; ++i) {
+        KODAN_TRACE_SCOPE("test.scope.one");
+        sink += std::sqrt(static_cast<double>(i));
+    }
+    prof::setCountersEnabled(false);
+    EXPECT_GT(sink, 0.0);
+
+    const RegistrySnapshot snap = registry().snapshot();
+    const MetricSample *timer = snap.find("test.scope.one");
+    ASSERT_NE(timer, nullptr);
+    EXPECT_EQ(timer->count, kScopes);
+
+    int spans = 0;
+    double span_seconds = 0.0;
+    for (const TraceEvent &event : Tracer::instance().collect()) {
+        if (event.name == "test.scope.one") {
+            ++spans;
+            span_seconds += event.dur_us * 1e-6;
+        }
+    }
+    EXPECT_EQ(spans, kScopes);
+    EXPECT_EQ(prof::spanSite("test.scope.one").calls(), kScopes);
+    // Timer and span come from the same two clock readings.
+    EXPECT_NEAR(timer->sum, span_seconds,
+                1e-12 * std::max(timer->sum, span_seconds));
+    prof::resetSpanTable();
+}
+
 #endif // KODAN_TELEMETRY_DISABLED
+
+TEST(Telemetry, ExitHookWritesMetricsTraceAndSeriesSiblings)
+{
+    namespace fs = std::filesystem;
+    std::string dir_template =
+        (fs::temp_directory_path() / "kodan_exit_hook_XXXXXX").string();
+    ASSERT_NE(mkdtemp(dir_template.data()), nullptr);
+    const fs::path dir(dir_template);
+    {
+        TelemetryGuard guard;
+        const std::string previous_path = outputPath();
+        setOutputPath((dir / "foo.json").string());
+        writeOutputs();
+        setOutputPath(previous_path);
+    }
+    std::set<std::string> written;
+    for (const fs::directory_entry &entry : fs::directory_iterator(dir)) {
+        written.insert(entry.path().filename().string());
+    }
+    fs::remove_all(dir);
+    EXPECT_EQ(written,
+              (std::set<std::string>{"foo.json", "foo.trace.json",
+                                     "foo.timeseries.json",
+                                     "foo.timeseries.csv"}));
+    EXPECT_EQ(written.count("foo.prom"), 0u);
+}
 
 TEST(Trace, RingOverwritesOldestAndCountsDrops)
 {

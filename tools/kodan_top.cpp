@@ -1,22 +1,15 @@
 /**
  * @file
- * kodan-top — live mission view over the flight-recorder event stream.
+ * kodan-top — mission view over a flight-recorder journal.
  *
- *   kodan-top <journal.jsonl> [--follow] [--interval-ms N]
- *       [--metric NAME] [--width N] [--prefix P]
+ *   kodan-top <journal.jsonl> [--metric NAME] [--width N] [--prefix P]
  *       [--profile <profile.json>]
  *
- * Tails a journal file — either a finished `--journal-out` export or
- * the live stream tap written by KODAN_JOURNAL_STREAM /
- * setJournalStreamPath — picks out the per-satellite sim-time bin
- * events (`<prefix>.satellite.bin`, emitted by the mission simulator)
- * and renders one sparkline row per satellite of the chosen per-bin
- * metric, plus totals.
- *
- * Modes:
- *  - default: read the whole file, render one frame, exit (pipeable);
- *  - --follow: poll the file for appended lines every --interval-ms
- *    (default 500), repainting in place until interrupted.
+ * Reads a finished `--journal-out` export, picks out the per-satellite
+ * sim-time bin events (`<prefix>.satellite.bin`, emitted by the
+ * mission simulator) and renders one sparkline row per satellite of
+ * the chosen per-bin metric, plus totals, as one frame on stdout
+ * (pipeable).
  *
  * Metrics (per-bin event fields): frames, processed, queued_bits,
  * bits, high_bits, dvd (default).
@@ -30,16 +23,13 @@
  *
  * With --profile, a hot-spans pane renders last: the CPU profile
  * written by --profile-out / KODAN_PROF (top spans by task-clock with
- * relative-cost bars, plus the hottest sampled frames). The file is
- * re-read on every repaint under --follow, so pointing it at the
- * profile path of a run that restarts (or a wrapper that re-captures)
- * keeps the pane current. Feed it with e.g.
+ * relative-cost bars, plus the hottest sampled frames). Feed it with
+ * e.g.
  *   bench_dataplane --journal-out dp.jsonl --profile-out dp.prof.json
  *   kodan-top dp.jsonl --profile dp.prof.json
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -48,7 +38,6 @@
 #include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -70,8 +59,7 @@ int
 usage()
 {
     std::cerr << "usage:\n"
-                 "  kodan-top <journal.jsonl> [--follow]\n"
-                 "      [--interval-ms N] [--metric NAME] [--width N]\n"
+                 "  kodan-top <journal.jsonl> [--metric NAME] [--width N]\n"
                  "      [--prefix P] [--profile <profile.json>]\n"
                  "metrics: frames processed queued_bits bits high_bits "
                  "dvd\n";
@@ -359,7 +347,7 @@ sparkline(const std::map<std::int64_t, double> &bins, std::int64_t lo,
     return out;
 }
 
-/** Re-read + render the --profile pane (ignored when path is empty). */
+/** Load + render the --profile pane (ignored when path is empty). */
 void
 renderProfilePane(const std::string &profile_path, int width,
                   std::ostream &os)
@@ -372,18 +360,15 @@ renderProfilePane(const std::string &profile_path, int width,
     if (report::loadProfile(profile_path, doc, &error)) {
         renderProfile(doc, profile_path, width, os);
     } else {
-        os << "hot spans — waiting for profile (" << error << ")\n";
+        os << "hot spans — cannot load profile (" << error << ")\n";
     }
 }
 
 void
 render(const MissionView &view, const AlertView &alerts,
        const std::string &metric, const std::string &profile_path,
-       int width, bool follow, std::ostream &os)
+       int width, std::ostream &os)
 {
-    if (follow) {
-        os << "\033[H\033[2J"; // home + clear
-    }
     os << "kodan-top — per-satellite `" << metric << "` by sim-time bin";
     if (view.bin_s > 0.0) {
         os << " (" << view.bin_s << " s/bin)";
@@ -391,8 +376,8 @@ render(const MissionView &view, const AlertView &alerts,
     os << "\n";
     if (view.per_satellite.empty()) {
         if (alerts.rows.empty()) {
-            os << "  (no satellite.bin events yet — run a mission with "
-                  "--journal-out or KODAN_JOURNAL_STREAM)\n";
+            os << "  (no satellite.bin events — run a mission with "
+                  "--journal-out)\n";
         }
         renderAlerts(alerts, os);
         renderProfilePane(profile_path, width, os);
@@ -430,45 +415,6 @@ render(const MissionView &view, const AlertView &alerts,
     os.flush();
 }
 
-/** Incremental JSONL reader: remembers the file offset and carries any
- *  partial trailing line between polls. */
-struct Tail
-{
-    std::string path;
-    std::streamoff offset = 0;
-    std::string partial;
-
-    /** Read newly appended complete lines. */
-    std::vector<std::string> poll()
-    {
-        std::vector<std::string> lines;
-        std::ifstream file(path, std::ios::binary);
-        if (!file) {
-            return lines;
-        }
-        file.seekg(0, std::ios::end);
-        const std::streamoff size = file.tellg();
-        if (size <= offset) {
-            return lines;
-        }
-        file.seekg(offset);
-        std::string chunk(static_cast<std::size_t>(size - offset), '\0');
-        file.read(chunk.data(),
-                  static_cast<std::streamsize>(chunk.size()));
-        offset = size;
-        partial += chunk;
-        std::size_t start = 0;
-        for (std::size_t i = 0; i < partial.size(); ++i) {
-            if (partial[i] == '\n') {
-                lines.push_back(partial.substr(start, i - start));
-                start = i + 1;
-            }
-        }
-        partial.erase(0, start);
-        return lines;
-    }
-};
-
 } // namespace
 
 int
@@ -478,19 +424,10 @@ main(int argc, char **argv)
     std::string metric = "dvd";
     std::string prefix;
     std::string profile_path;
-    bool follow = false;
-    int interval_ms = 500;
     int width = 64;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--follow") {
-            follow = true;
-        } else if (arg == "--interval-ms" && i + 1 < argc) {
-            interval_ms = std::atoi(argv[++i]);
-            if (interval_ms <= 0) {
-                return fail("bad --interval-ms value");
-            }
-        } else if (arg == "--metric" && i + 1 < argc) {
+        if (arg == "--metric" && i + 1 < argc) {
             metric = argv[++i];
         } else if (arg == "--width" && i + 1 < argc) {
             width = std::atoi(argv[++i]);
@@ -520,41 +457,24 @@ main(int argc, char **argv)
                                    ? std::string(".satellite.bin")
                                    : prefix + ".satellite.bin";
 
+    std::ifstream file(path, std::ios::binary);
+    if (!file) {
+        return fail("cannot open " + path);
+    }
     MissionView view;
     AlertView alerts;
-    Tail tail{path, 0, ""};
-
-    const auto ingestLines = [&](const std::vector<std::string> &lines) {
-        for (const std::string &line : lines) {
-            if (line.empty() ||
-                line.find("\"kodan_journal\"") != std::string::npos) {
-                continue; // export header
-            }
-            json::Value event;
-            if (json::parse(line, event, nullptr)) {
-                ingest(view, event, metric, suffix);
-                ingestAlert(alerts, event);
-            }
+    std::string line;
+    while (std::getline(file, line)) {
+        if (line.empty() ||
+            line.find("\"kodan_journal\"") != std::string::npos) {
+            continue; // export header
         }
-    };
-
-    if (!follow) {
-        std::ifstream file(path, std::ios::binary);
-        if (!file) {
-            return fail("cannot open " + path);
+        json::Value event;
+        if (json::parse(line, event, nullptr)) {
+            ingest(view, event, metric, suffix);
+            ingestAlert(alerts, event);
         }
-        ingestLines(tail.poll());
-        render(view, alerts, metric, profile_path, width, false,
-               std::cout);
-        return 0;
     }
-
-    for (;;) {
-        ingestLines(tail.poll());
-        render(view, alerts, metric, profile_path, width, true,
-               std::cout);
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(interval_ms));
-    }
+    render(view, alerts, metric, profile_path, width, std::cout);
     return 0;
 }
