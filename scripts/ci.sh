@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full CI sweep: tier-1 build + complete ctest run, then the
+# Full CI sweep: warning-clean tier-1 build + complete ctest run, a
+# warning-clean build with telemetry compiled out, then the
 # concurrency/observability-labeled suites again under ThreadSanitizer
 # and AddressSanitizer builds. Mirrors what the regression driver runs,
 # so a green ci.sh locally means the PR gates should pass.
@@ -8,10 +9,11 @@
 #   scripts/ci.sh [--jobs N] [--skip-sanitizers]
 #
 # Build trees:
-#   build/           default flags (tier-1)
-#   build-tsan/      -DKODAN_SANITIZE=thread   (bench/examples off)
-#   build-asan/      -DKODAN_SANITIZE=address  (bench/examples off)
-#   build-native/    -DKODAN_NATIVE=ON         (mlkernels suite only)
+#   build/              default flags + -Werror    (tier-1)
+#   build-notelemetry/  -DKODAN_TELEMETRY=OFF + -Werror (build only)
+#   build-tsan/         -DKODAN_SANITIZE=thread    (bench/examples off)
+#   build-asan/         -DKODAN_SANITIZE=address   (bench/examples off)
+#   build-native/       -DKODAN_NATIVE=ON          (mlkernels suite only)
 #
 # The sanitizer passes rerun only the labeled suites — determinism,
 # telemetry, journal, report, time-series, constellation, health,
@@ -46,9 +48,17 @@ done
 LABELS='parallel|telemetry|journal|report|timeseries|mlkernels|constellation|health|prof|world'
 
 echo "[ci] tier-1: configure + build + full ctest (jobs=$JOBS)"
-cmake -B "$REPO_ROOT/build" -S "$REPO_ROOT"
+cmake -B "$REPO_ROOT/build" -S "$REPO_ROOT" -DKODAN_WARNINGS_AS_ERRORS=ON
 cmake --build "$REPO_ROOT/build" -j "$JOBS"
 (cd "$REPO_ROOT/build" && ctest --output-on-failure -j "$JOBS")
+
+# With instrumentation compiled out, values read only by the telemetry
+# macros go unused; this build keeps that configuration warning-clean.
+echo "[ci] telemetry compiled out: configure + build (-Werror)"
+cmake -B "$REPO_ROOT/build-notelemetry" -S "$REPO_ROOT" \
+    -DKODAN_TELEMETRY=OFF \
+    -DKODAN_WARNINGS_AS_ERRORS=ON
+cmake --build "$REPO_ROOT/build-notelemetry" -j "$JOBS"
 
 if [[ "$SKIP_SANITIZERS" -eq 1 ]]; then
     echo "[ci] sanitizers skipped (--skip-sanitizers)"

@@ -319,7 +319,8 @@ DeploymentEvaluator::measureDirectTable(
 
 ActionStats
 DeploymentEvaluator::measureModelOnTiles(
-    int entry, const std::vector<const data::TileData *> &tiles) const
+    int entry, const std::vector<const data::TileData *> &tiles,
+    ml::Precision precision) const
 {
     ActionAccum accum;
     // One batch over every tile; same ascending accumulation order as
@@ -335,7 +336,7 @@ DeploymentEvaluator::measureModelOnTiles(
                                       data::kBlockInputDim);
     }
     double *probs = arena.alloc(rows);
-    zoo_->predictRows(entry, scaled, rows, probs);
+    zoo_->predictRows(entry, scaled, rows, probs, precision);
     for (std::size_t t = 0; t < tiles.size(); ++t) {
         const BlockTruth truth(*tiles[t]);
         accum.total_cells += truth.tile_total;
@@ -356,7 +357,7 @@ DeploymentEvaluator::measureModelOnTiles(
     }
     ActionStats stats = accum.finish(
         hw::CostModel::tierParamCount(zoo_->entries[entry].tier));
-    stats.quantized = zoo_->entries[entry].runsQuantized();
+    stats.quantized = zoo_->entries[entry].runsQuantized(precision);
     return stats;
 }
 

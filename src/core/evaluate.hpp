@@ -175,10 +175,12 @@ class DeploymentEvaluator
 
     /**
      * Stats of one zoo entry over an explicit set of tiles (helper for
-     * the per-technique figures).
+     * the per-technique figures and the int8 tolerance gate), at
+     * @p precision: the process-wide knob by default.
      */
     ActionStats measureModelOnTiles(
-        int entry, const std::vector<const data::TileData *> &tiles) const;
+        int entry, const std::vector<const data::TileData *> &tiles,
+        ml::Precision precision = ml::precision()) const;
 
   private:
     const SpecializedZoo *zoo_;

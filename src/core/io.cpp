@@ -217,7 +217,8 @@ loadZoo(std::istream &is)
         int context = 0;
         is >> tier >> context;
         ml::Mlp net = ml::Mlp::load(is);
-        zoo.entries.push_back(ZooEntry{std::move(net), tier, context});
+        zoo.entries.push_back(
+            ZooEntry{std::move(net), tier, context, nullptr});
         std::string quant_tag;
         is >> quant_tag;
         if (quant_tag == "quant") {

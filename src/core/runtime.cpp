@@ -172,7 +172,9 @@ Runtime::stageRecord(const FrameWork &work) const
     if (telemetry::enabled()) {
         const double engine_time =
             hw::CostModel::contextEngineTime(target_);
-        const double engine_total =
+        // Read only by the instrumentation macros, which compile to
+        // nothing under -DKODAN_TELEMETRY=OFF.
+        [[maybe_unused]] const double engine_total =
             engine_time * static_cast<double>(work.tiles.size());
         KODAN_COUNT("runtime.frames.processed");
         KODAN_COUNT_ADD("runtime.tiles.discarded",
@@ -206,7 +208,7 @@ Runtime::stageRecord(const FrameWork &work) const
             const ZooEntry &ref = zoo_->entries[zoo_->reference];
             const std::size_t ref_params =
                 hw::CostModel::tierParamCount(ref.tier);
-            const double reference_tile_time =
+            [[maybe_unused]] const double reference_tile_time =
                 ref.runsQuantized()
                     ? hw::CostModel::modelTimeQuant(ref_params, target_)
                     : hw::CostModel::modelTime(ref_params, target_);

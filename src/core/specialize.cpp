@@ -109,7 +109,8 @@ SpecializedZoo::tileInputs(const data::TileData &tile, double *out) const
 
 void
 SpecializedZoo::predictRows(int entry, const double *scaled,
-                            std::size_t rows, double *out) const
+                            std::size_t rows, double *out,
+                            ml::Precision precision) const
 {
     assert(entry >= 0 && entry < static_cast<int>(entries.size()));
     // The precision dispatch choke point: the deployed runtime
@@ -117,7 +118,7 @@ SpecializedZoo::predictRows(int entry, const double *scaled,
     // funnel through here, so the KODAN_QUANT knob redirects every
     // consumer at once.
     const ZooEntry &e = entries[entry];
-    if (e.runsQuantized()) {
+    if (e.runsQuantized(precision)) {
         e.quant->forwardBatch(scaled, rows, out);
         return;
     }
@@ -183,7 +184,8 @@ ModelSpecializer::trainZoo(
     {
         ml::Mlp net(tierConfig(app_.tier), rng);
         net.train(x_scaled, y, options_.train, rng);
-        zoo.entries.push_back(ZooEntry{std::move(net), app_.tier, -1});
+        zoo.entries.push_back(
+            ZooEntry{std::move(net), app_.tier, -1, nullptr});
         if (options_.quantize) {
             // Calibrated offline on the sweep's own training batch —
             // the rows the deployed model will see are drawn from the
@@ -239,7 +241,8 @@ ModelSpecializer::trainZoo(
         for (int tier : candidate_tiers) {
             ml::Mlp net(tierConfig(tier), rng);
             net.train(cx_scaled, cy, options_.train, rng);
-            zoo.entries.push_back(ZooEntry{std::move(net), tier, c});
+            zoo.entries.push_back(
+                ZooEntry{std::move(net), tier, c, nullptr});
             if (options_.quantize) {
                 zoo.entries.back().quant =
                     std::make_shared<ml::QuantizedMlp>(

@@ -62,9 +62,13 @@ struct SpecializedZoo
      * @param scaled Row-major rows x kBlockInputDim standardized inputs.
      * @param rows Number of input rows.
      * @param out One cloud probability per row.
+     * @param precision Numeric path; the process-wide knob by default. A
+     *        caller that measures one precision passes it here rather
+     *        than setting the knob, which every thread reads.
      */
     void predictRows(int entry, const double *scaled, std::size_t rows,
-                     double *out) const;
+                     double *out,
+                     ml::Precision precision = ml::precision()) const;
 
     /** Candidate entry indices usable for context @p context. */
     std::vector<int> candidatesFor(int context) const;

@@ -205,18 +205,13 @@ Transformer::transformApp(const Application &app,
             if (artifacts.zoo.entries[e].quant == nullptr) {
                 continue;
             }
-            ActionStats fp_stats;
-            ActionStats q_stats;
-            {
-                const ml::PrecisionGuard guard(ml::Precision::Fp64);
-                fp_stats = evaluator.measureModelOnTiles(
-                    static_cast<int>(e), tile_ptrs);
-            }
-            {
-                const ml::PrecisionGuard guard(ml::Precision::Int8);
-                q_stats = evaluator.measureModelOnTiles(
-                    static_cast<int>(e), tile_ptrs);
-            }
+            // Each side names its precision: setting the process-wide
+            // knob here would switch the precision of every app being
+            // transformed on another thread, mid-measurement.
+            const ActionStats fp_stats = evaluator.measureModelOnTiles(
+                static_cast<int>(e), tile_ptrs, ml::Precision::Fp64);
+            const ActionStats q_stats = evaluator.measureModelOnTiles(
+                static_cast<int>(e), tile_ptrs, ml::Precision::Int8);
             const double accuracy_drop =
                 fp_stats.cell_accuracy - q_stats.cell_accuracy;
             const double value_drop =

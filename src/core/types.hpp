@@ -123,12 +123,15 @@ struct ZooEntry
      */
     std::shared_ptr<const ml::QuantizedMlp> quant;
 
-    /** True when predict calls take the int8 path right now: a sibling
-     *  exists and the process-wide precision knob selects Int8. */
-    bool runsQuantized() const
+    /** True when predict calls at @p precision take the int8 path: a
+     *  sibling exists and @p precision is Int8. */
+    bool runsQuantized(ml::Precision precision) const
     {
-        return quant != nullptr && ml::precision() == ml::Precision::Int8;
+        return quant != nullptr && precision == ml::Precision::Int8;
     }
+
+    /** runsQuantized at the process-wide precision knob, right now. */
+    bool runsQuantized() const { return runsQuantized(ml::precision()); }
 };
 
 } // namespace kodan::core

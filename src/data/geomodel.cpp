@@ -1,8 +1,10 @@
 #include "data/geomodel.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 #include "util/stats.hpp"
 #include "util/units.hpp"
@@ -95,6 +97,44 @@ fieldPercentile(const util::SphericalFbm &field, double pct,
     return util::percentile(std::move(samples), pct);
 }
 
+/** Order-preserving map of a non-NaN double onto the unsigned integers. */
+std::uint64_t
+orderKey(double d)
+{
+    const auto bits = std::bit_cast<std::uint64_t>(d);
+    return (bits >> 63) != 0 ? ~bits : bits | (1ULL << 63);
+}
+
+double
+fromOrderKey(std::uint64_t key)
+{
+    return std::bit_cast<double>((key >> 63) != 0 ? key & ~(1ULL << 63)
+                                                  : ~key);
+}
+
+/**
+ * The smallest double at which @p holds becomes true, for a predicate
+ * monotone in its argument, false at -inf and true at +inf: a bisection
+ * over the doubles in order.
+ */
+template <class Predicate>
+double
+smallestWhere(Predicate holds)
+{
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    std::uint64_t lo = orderKey(-kInf); // holds is false here
+    std::uint64_t hi = orderKey(kInf);  // and true here
+    while (hi - lo > 1) {
+        const std::uint64_t mid = lo + (hi - lo) / 2;
+        if (holds(fromOrderKey(mid))) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    return fromOrderKey(hi);
+}
+
 } // namespace
 
 GeoModelParams
@@ -126,6 +166,21 @@ GeoModel::GeoModel(const GeoModelParams &params)
         elevation_, 100.0 * (1.0 - kMountainFraction), params.seed);
     cloud_threshold_ = fieldPercentile(
         cloud_, 100.0 * (1.0 - params.cloud_fraction), params.seed ^ 0x10);
+
+    // After octave k, the rest of the sum can only add, in at()'s order,
+    // terms between amplitude * -kValueNoisePad and
+    // amplitude * (1 + kValueNoisePad); every rounded step is monotone.
+    const util::FbmNoise &fbm = cloud_.fbm();
+    for (int k = 0; k < fbm.octaves(); ++k) {
+        cloudy_from_.push_back(smallestWhere([&](double sum) {
+            return cloudyFromSum(
+                fbm.extendSum(sum, k + 1, -util::kValueNoisePad));
+        }));
+        clear_below_.push_back(smallestWhere([&](double sum) {
+            return cloudyFromSum(
+                fbm.extendSum(sum, k + 1, 1.0 + util::kValueNoisePad));
+        }));
+    }
 }
 
 Terrain
@@ -175,35 +230,82 @@ GeoModel::cloudyAt(double lat_rad, double lon_rad, double time) const
     return isCloudy(cloudOpacityAt(lat_rad, lon_rad, time));
 }
 
+bool
+GeoModel::cloudyFromSum(double octave_sum) const
+{
+    return isCloudy(opacityFromRaw(octave_sum * cloud_.fbm().norm()));
+}
+
 int
 GeoModel::clearCount(std::span<const double> lats,
                      std::span<const double> lons, double time) const
 {
     const double cloud_time = time / kCloudTimeScale;
-    // Longitude trig is cached for a block of columns at a time, so any
-    // lattice width works without allocating.
-    constexpr std::size_t kBlock = 8;
-    std::array<double, kBlock> cos_lon{};
-    std::array<double, kBlock> sin_lon{};
+    const util::FbmNoise &fbm = cloud_.fbm();
+    // Longitude trig is cached for a block of columns, and points are
+    // decided a block at a time, so any lattice width works without
+    // allocating.
+    constexpr std::size_t kLonBlock = 8;
+    constexpr std::size_t kPoints = 32;
+    static_assert(kLonBlock <= kPoints);
+    std::array<double, kLonBlock> cos_lon{};
+    std::array<double, kLonBlock> sin_lon{};
+    std::array<util::NoisePoint, kPoints> points{};
+    std::array<double, kPoints> sums{};
+    std::array<std::uint8_t, kPoints> open{}; // undecided point indices
+    std::size_t count = 0;
     int clear = 0;
-    for (std::size_t j0 = 0; j0 < lons.size(); j0 += kBlock) {
-        const std::size_t width = std::min(kBlock, lons.size() - j0);
+
+    const auto decide = [&] {
+        for (std::size_t p = 0; p < count; ++p) {
+            sums[p] = 0.0;
+            open[p] = static_cast<std::uint8_t>(p);
+        }
+        std::size_t live = count;
+        for (int k = 0; k < fbm.octaves() && live > 0; ++k) {
+            // One octave across every undecided point: the points are
+            // independent, so their evaluations overlap.
+            const double amplitude = fbm.amplitude(k);
+            for (std::size_t i = 0; i < live; ++i) {
+                const util::NoisePoint &pt = points[open[i]];
+                sums[open[i]] += amplitude * fbm.octave(k, pt.x, pt.y, pt.z);
+            }
+            // Settle what the octave decided; keep the rest, branch-free.
+            const double cloudy_from = cloudy_from_[k];
+            const double clear_below = clear_below_[k];
+            std::size_t kept = 0;
+            for (std::size_t i = 0; i < live; ++i) {
+                const std::uint8_t p = open[i];
+                const bool is_clear = sums[p] < clear_below;
+                clear += is_clear ? 1 : 0;
+                open[kept] = p;
+                kept += (!is_clear && sums[p] < cloudy_from) ? 1 : 0;
+            }
+            live = kept;
+        }
+        assert(live == 0); // the last octave's two thresholds coincide
+        count = 0;
+    };
+
+    for (std::size_t j0 = 0; j0 < lons.size(); j0 += kLonBlock) {
+        const std::size_t width = std::min(kLonBlock, lons.size() - j0);
         for (std::size_t j = 0; j < width; ++j) {
             cos_lon[j] = std::cos(lons[j0 + j]);
             sin_lon[j] = std::sin(lons[j0 + j]);
         }
         for (const double lat : lats) {
+            if (count + width > kPoints) {
+                decide();
+            }
             const double cos_lat = std::cos(lat);
             const double sin_lat = std::sin(lat);
             for (std::size_t j = 0; j < width; ++j) {
-                const double raw = cloud_.at(
+                points[count++] = cloud_.embed(
                     {cos_lat, sin_lat, cos_lon[j], sin_lon[j]}, cloud_time);
-                if (!isCloudy(opacityFromRaw(raw))) {
-                    ++clear;
-                }
             }
         }
     }
+    decide();
     return clear;
 }
 

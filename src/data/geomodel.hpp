@@ -17,6 +17,7 @@
 #include <array>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "util/noise.hpp"
 #include "util/rng.hpp"
@@ -127,10 +128,33 @@ class GeoModel
      * Number of clear (not cloud-obscured) points on the product lattice
      * @p lats × @p lons at @p time. Equals counting !cloudyAt over every
      * (lat, lon) pair bit for bit, but computes each latitude's and each
-     * longitude's cos/sin once and scales @p time once.
+     * longitude's cos/sin once, scales @p time once, and stops each
+     * point's fBm at the first octave that settles its verdict.
+     *
+     * The lattice is evaluated octave-major: each octave's term is added
+     * to every still-undecided point, in FbmNoise::at's order, and a
+     * point is settled once its partial sum, continued through the
+     * remaining octaves at the low or the high end of an octave's range,
+     * reads cloudy or clear either way. That range is padded to
+     * [-kValueNoisePad, 1 + kValueNoisePad] because rounding lets a
+     * ValueNoise sample leave [0, 1] (DESIGN.md "World-model queries");
+     * with the exact [0, 1] the bound would be wrong, not just loose.
      */
     int clearCount(std::span<const double> lats,
                    std::span<const double> lons, double time) const;
+
+    /**
+     * The cloudy verdict of a cloud fBm octave sum: the verdict cloudyAt
+     * reaches when the field's octaves sum to @p octave_sum. Monotone in
+     * the sum. Exposed for tests.
+     */
+    bool cloudyFromSum(double octave_sum) const;
+
+    /**
+     * The smallest octave sum that reads cloudy: cloudyFromSum(s) is
+     * s >= cloudySum(). Exposed for tests.
+     */
+    double cloudySum() const { return cloudy_from_.back(); }
 
     /**
      * One observed ground cell: features, cloudy, and terrain together.
@@ -172,6 +196,12 @@ class GeoModel
     double sea_level_;       // elevation threshold for ocean
     double mountain_level_;  // elevation threshold for mountains
     double cloud_threshold_; // raw-noise threshold for "cloudy"
+    // Octave-sum thresholds of the cloud verdict, one per octave k: a
+    // partial sum of octaves [0, k] at or above cloudy_from_[k] reads
+    // cloudy, and one below clear_below_[k] reads clear, whatever the
+    // remaining octaves add. Both end at cloudySum().
+    std::vector<double> cloudy_from_;
+    std::vector<double> clear_below_;
 
     /** Opacity in [0, 1] of a raw (un-thresholded) cloud field value. */
     double opacityFromRaw(double raw) const;

@@ -60,7 +60,11 @@ Precision precision();
 /** Override the active precision (process-wide). */
 void setPrecision(Precision p);
 
-/** RAII precision override (tests, per-entry A/B measurement). */
+/**
+ * RAII precision override for tests and benches. The knob is
+ * process-wide: code that runs beside other work passes an explicit
+ * precision instead (SpecializedZoo::predictRows).
+ */
 class PrecisionGuard
 {
   public:

@@ -16,16 +16,35 @@ TraceRing::TraceRing(int tid, std::size_t capacity)
 }
 
 void
-TraceRing::push(TraceEvent event)
+TraceRing::advance()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ring_[head_] = std::move(event);
     head_ = (head_ + 1) % capacity_;
     if (size_ < capacity_) {
         ++size_;
     } else {
         ++dropped_;
     }
+}
+
+void
+TraceRing::push(TraceEvent event)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    ring_[head_].span = nullptr;
+    ring_[head_].event = std::move(event);
+    advance();
+}
+
+void
+TraceRing::pushSpan(const char *name, double start_us, double dur_us)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    Slot &slot = ring_[head_];
+    slot.span = name;
+    slot.event.start_us = start_us;
+    slot.event.dur_us = dur_us;
+    slot.event.tid = tid_;
+    advance();
 }
 
 std::vector<TraceEvent>
@@ -36,7 +55,10 @@ TraceRing::events() const
     out.reserve(size_);
     const std::size_t first = (head_ + capacity_ - size_) % capacity_;
     for (std::size_t i = 0; i < size_; ++i) {
-        out.push_back(ring_[(first + i) % capacity_]);
+        const Slot &slot = ring_[(first + i) % capacity_];
+        out.push_back({slot.span != nullptr ? slot.span : slot.event.name,
+                       slot.event.start_us, slot.event.dur_us,
+                       slot.event.tid});
     }
     return out;
 }
@@ -84,17 +106,12 @@ Tracer::threadRing()
 }
 
 void
-Tracer::recordSpan(std::string name,
+Tracer::recordSpan(const char *name,
                    std::chrono::steady_clock::time_point start,
                    std::chrono::steady_clock::duration elapsed)
 {
-    TraceEvent event;
-    event.name = std::move(name);
-    event.start_us = Micros(start - epoch_).count();
-    event.dur_us = Micros(elapsed).count();
-    TraceRing &ring = threadRing();
-    event.tid = ring.tid();
-    ring.push(std::move(event));
+    threadRing().pushSpan(name, Micros(start - epoch_).count(),
+                          Micros(elapsed).count());
 }
 
 void

@@ -54,7 +54,15 @@ class TraceRing
   public:
     TraceRing(int tid, std::size_t capacity);
 
+    /** Record an event with owned text (instants). */
     void push(TraceEvent event);
+
+    /**
+     * Record a completed span on the ring's thread. The ring keeps the
+     * @p name pointer, not a copy, so the push never allocates; every
+     * span site names a string literal, which outlives the ring.
+     */
+    void pushSpan(const char *name, double start_us, double dur_us);
 
     /** Events in recording order (oldest first). */
     std::vector<TraceEvent> events() const;
@@ -67,8 +75,19 @@ class TraceRing
     int tid() const { return tid_; }
 
   private:
+    /** A span's literal name, or null when @c event.name holds the
+     *  text; a span leaves the slot's old text in place, unread. */
+    struct Slot
+    {
+        const char *span = nullptr;
+        TraceEvent event;
+    };
+
+    /** Count the slot at head_ written and move past it. */
+    void advance();
+
     mutable std::mutex mutex_;
-    std::vector<TraceEvent> ring_;
+    std::vector<Slot> ring_;
     std::size_t capacity_;
     std::size_t head_ = 0;
     std::size_t size_ = 0;
@@ -92,8 +111,9 @@ class Tracer
     TraceRing &threadRing();
 
     /** Record a completed span on the calling thread, from the two
-     *  steady-clock readings of a ScopeRecord. */
-    void recordSpan(std::string name,
+     *  steady-clock readings of a ScopeRecord; @p name is a string
+     *  literal (TraceRing::pushSpan). */
+    void recordSpan(const char *name,
                     std::chrono::steady_clock::time_point start,
                     std::chrono::steady_clock::duration elapsed);
 

@@ -9,13 +9,6 @@ namespace kodan::util {
 
 namespace {
 
-/** Quintic smoothstep: C2-continuous interpolation weight. */
-double
-smooth(double t)
-{
-    return t * t * t * (t * (t * 6.0 - 15.0) + 10.0);
-}
-
 double
 lerp(double a, double b, double t)
 {
@@ -46,6 +39,13 @@ unitInterval(std::uint64_t h)
 ValueNoise::ValueNoise(std::uint64_t seed)
     : seed_(seed)
 {
+}
+
+/** Quintic smoothstep: C2-continuous interpolation weight. */
+double
+ValueNoise::smooth(double t)
+{
+    return t * t * t * (t * (t * 6.0 - 15.0) + 10.0);
 }
 
 double
@@ -93,34 +93,49 @@ ValueNoise::at(double x, double y, double z) const
 
 FbmNoise::FbmNoise(std::uint64_t seed, int octaves, double lacunarity,
                    double gain)
-    : base_(seed), octaves_(octaves), lacunarity_(lacunarity), gain_(gain)
+    : base_(seed)
 {
     assert(octaves >= 1);
     double amplitude = 1.0;
+    double frequency = 1.0;
     double total = 0.0;
-    for (int i = 0; i < octaves_; ++i) {
+    for (int i = 0; i < octaves; ++i) {
+        amplitude_.push_back(amplitude);
+        frequency_.push_back(frequency);
+        // Offset each octave so features of different scales decorrelate.
+        offset_.push_back(31.416 * i);
         total += amplitude;
-        amplitude *= gain_;
+        amplitude *= gain;
+        frequency *= lacunarity;
     }
     norm_ = 1.0 / total;
+}
+
+double
+FbmNoise::octave(int k, double x, double y, double z) const
+{
+    return base_.at(x * frequency_[k] + offset_[k],
+                    y * frequency_[k] + offset_[k], z * frequency_[k]);
 }
 
 double
 FbmNoise::at(double x, double y, double z) const
 {
     double sum = 0.0;
-    double amplitude = 1.0;
-    double frequency = 1.0;
-    for (int i = 0; i < octaves_; ++i) {
-        // Offset each octave so features of different scales decorrelate.
-        const double offset = 31.416 * i;
-        sum += amplitude * base_.at(x * frequency + offset,
-                                    y * frequency + offset,
-                                    z * frequency);
-        amplitude *= gain_;
-        frequency *= lacunarity_;
+    for (int k = 0; k < octaves(); ++k) {
+        sum += amplitude_[k] * octave(k, x, y, z);
     }
     return sum * norm_;
+}
+
+double
+FbmNoise::extendSum(double partial, int from, double value) const
+{
+    double sum = partial;
+    for (int k = from; k < octaves(); ++k) {
+        sum += amplitude_[k] * value;
+    }
+    return sum;
 }
 
 SphericalFbm::SphericalFbm(std::uint64_t seed, int octaves, double frequency)
@@ -156,14 +171,20 @@ SphericalFbm::at(double lat_rad, double lon_rad, double time) const
 double
 SphericalFbm::at(const SphereTrig &dir, double time) const
 {
+    const NoisePoint p = embed(dir, time);
+    return fbm_.at(p.x, p.y, p.z);
+}
+
+NoisePoint
+SphericalFbm::embed(const SphereTrig &dir, double time) const
+{
     const double x = dir.cos_lat * dir.cos_lon;
     const double y = dir.cos_lat * dir.sin_lon;
     const double z = dir.sin_lat;
     // Embed on the sphere of radius `frequency_` and fold time into all
     // three axes so the field genuinely evolves rather than translating.
-    return fbm_.at(x * frequency_ + 0.31 * time,
-                   y * frequency_ + 0.47 * time,
-                   z * frequency_ + 0.59 * time);
+    return {x * frequency_ + 0.31 * time, y * frequency_ + 0.47 * time,
+            z * frequency_ + 0.59 * time};
 }
 
 } // namespace kodan::util

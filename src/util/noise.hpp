@@ -12,8 +12,27 @@
 #define KODAN_UTIL_NOISE_HPP
 
 #include <cstdint>
+#include <vector>
 
 namespace kodan::util {
+
+/**
+ * Rounding padding of ValueNoise::at's range. The exact interpolant lies
+ * in [0, 1], but the rounded quintic weight can exceed 1 (smooth of the
+ * double just below 1 is 1 + 6 ulp), so a lerp can overshoot a corner
+ * value. Every rounded ValueNoise::at value lies in
+ * [-kValueNoisePad, 1 + kValueNoisePad]; the bound is derived in
+ * DESIGN.md ("World-model queries") with a wide margin.
+ */
+inline constexpr double kValueNoisePad = 0x1.0p-40;
+
+/** A point in a noise field's own coordinates. */
+struct NoisePoint
+{
+    double x;
+    double y;
+    double z;
+};
 
 /**
  * Smooth lattice value noise in up to three dimensions.
@@ -34,9 +53,15 @@ class ValueNoise
      * @param x First coordinate (arbitrary units; features ~1 unit wide).
      * @param y Second coordinate.
      * @param z Third coordinate (use for time evolution); default 0.
-     * @return Smooth value in [0, 1].
+     * @return Smooth value in [0, 1], up to kValueNoisePad of rounding.
      */
     double at(double x, double y, double z = 0.0) const;
+
+    /**
+     * The quintic smoothstep weight at() interpolates with. Exposed for
+     * the tests of kValueNoisePad: smooth(t) exceeds 1 just below t = 1.
+     */
+    static double smooth(double t);
 
     /**
      * Hash an integer lattice cell to a uniform double in [0, 1].
@@ -78,12 +103,43 @@ class FbmNoise
      */
     double at(double x, double y, double z = 0.0) const;
 
+    /*
+     * Per-octave API. at() is the sum, from 0.0 in octave order, of
+     * amplitude(k) * octave(k, x, y, z), times norm(); a caller that
+     * adds the same terms in the same order gets the same bits.
+     */
+
+    /** Number of octaves summed. */
+    int octaves() const { return static_cast<int>(amplitude_.size()); }
+
+    /** Weight of octave @p k: gain^k, as at()'s running product. */
+    double amplitude(int k) const { return amplitude_[k]; }
+
+    /** The factor from the octave sum to at()'s value. */
+    double norm() const { return norm_; }
+
+    /**
+     * Octave @p k's unweighted value at (x, y, z): a ValueNoise sample
+     * at the octave's frequency and offset, in
+     * [-kValueNoisePad, 1 + kValueNoisePad].
+     */
+    double octave(int k, double x, double y, double z) const;
+
+    /**
+     * The octave sum @p partial of octaves [0, from) continued through
+     * octaves [from, octaves()) with every octave reading @p value, in
+     * at()'s order of operations. Each rounded step is monotone, so
+     * with @p value at an end of octave()'s range this bounds every
+     * sum that can follow @p partial.
+     */
+    double extendSum(double partial, int from, double value) const;
+
   private:
     ValueNoise base_;
-    int octaves_;
-    double lacunarity_;
-    double gain_;
-    double norm_; // 1 / sum of octave amplitudes
+    std::vector<double> amplitude_; // gain^k, running product
+    std::vector<double> frequency_; // lacunarity^k, running product
+    std::vector<double> offset_;    // per-octave decorrelating shift
+    double norm_;                   // 1 / sum of octave amplitudes
 };
 
 /**
@@ -143,6 +199,15 @@ class SphericalFbm
      * at(SphereTrig::of(lat, lon), time) bit for bit.
      */
     double at(const SphereTrig &dir, double time = 0.0) const;
+
+    /**
+     * The fBm coordinates of a direction at @p time: the one embedding.
+     * at(dir, time) is fbm().at() at this point.
+     */
+    NoisePoint embed(const SphereTrig &dir, double time) const;
+
+    /** The fBm field sampled at embedded points. */
+    const FbmNoise &fbm() const { return fbm_; }
 
   private:
     FbmNoise fbm_;

@@ -51,6 +51,15 @@ serializeTables(const AppArtifacts &artifacts)
     return os.str();
 }
 
+/** A transformed app's zoo and tables, as the bench bundle stores them. */
+std::string
+serializeArtifacts(const AppArtifacts &artifacts)
+{
+    std::ostringstream os;
+    saveZoo(os, artifacts.zoo);
+    return os.str() + serializeTables(artifacts);
+}
+
 void
 expectSameReport(const FrameReport &a, const FrameReport &b)
 {
@@ -116,6 +125,42 @@ TEST(ParallelEquivalence, TransformerSweepIsBitIdenticalAcrossThreads)
                       baseline.per_tiling[i].first);
             EXPECT_EQ(result.per_tiling[i].second.dvd,
                       baseline.per_tiling[i].second.dvd);
+        }
+    }
+}
+
+TEST(ParallelEquivalence, TransformAppFanOutIsBitIdenticalAcrossThreads)
+{
+    // The bench bundle transforms every app at once across the pool
+    // (bench/common.cpp). Each app's int8 tolerance gate measures its
+    // zoo at both precisions while the other apps measure their tables,
+    // so nothing one app does may reach another's measurements.
+    ThreadGuard guard;
+    const data::GeoModel geo;
+    TransformOptions options = smallOptions();
+    options.specialize.max_train_blocks = 4000;
+    options.sweep.tile_counts = {36, 121};
+    const Transformer transformer(options);
+    auto [train, val] = smallFrames(geo, 16, 8);
+    const auto shared =
+        transformer.prepareData(std::move(train), std::move(val));
+    const std::vector<int> tiers = {2, 3, 4};
+
+    std::vector<std::string> baseline;
+    for (int threads : {1, 4}) {
+        util::setGlobalThreads(threads);
+        std::vector<std::string> bytes(tiers.size());
+        util::parallelFor(tiers.size(), [&](std::size_t i) {
+            bytes[i] = serializeArtifacts(
+                transformer.transformApp(Application{tiers[i]}, shared));
+        });
+        if (baseline.empty()) {
+            baseline = bytes;
+            continue;
+        }
+        for (std::size_t i = 0; i < tiers.size(); ++i) {
+            EXPECT_EQ(bytes[i], baseline[i])
+                << "app " << tiers[i] << " at " << threads << " threads";
         }
     }
 }

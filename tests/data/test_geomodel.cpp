@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "data/geomodel.hpp"
@@ -427,6 +430,145 @@ TEST(GeoModel, ClearCountMatchesPerPointQueries)
     }
     EXPECT_GT(mixed, 100);
     EXPECT_EQ(geo.clearCount({}, std::vector<double>{0.0}, 0.0), 0);
+}
+
+// --- The early-exit verdicts of clearCount ------------------------------
+//
+// clearCount stops each point's fBm at the first octave that settles its
+// verdict. These tests hold it to the full evaluation (cloudyAt) on the
+// default world: at random, and at points whose full octave sum is within
+// one ulp of the smallest sum that reads cloudy.
+
+TEST(GeoModel, ClearCountMatchesFullEvaluationOnDefaultWorld)
+{
+    const GeoModel geo;
+    util::Rng rng(33);
+    std::vector<double> lats(3);
+    std::vector<double> lons(3);
+    int points = 0;
+    int mixed = 0;
+    while (points < 1000000) {
+        // Frame-sized lattices (as sim::frameValueFraction samples) and
+        // lattices an order of magnitude wider and narrower.
+        const double spread = (50.0e3 / util::kEarthRadius) *
+                              ((points % 3 == 0)   ? 1.0
+                               : (points % 3 == 1) ? 10.0
+                                                   : 0.1);
+        const double lat0 = std::asin(2.0 * rng.uniform() - 1.0);
+        const double lon0 = rng.uniform(-util::kPi, util::kPi);
+        for (std::size_t k = 0; k < 3; ++k) {
+            lats[k] = lat0 + (static_cast<double>(k) - 1.0) * spread;
+            lons[k] = lon0 + (static_cast<double>(k) - 1.0) * spread;
+        }
+        const double time = rng.uniform(0.0, 30.0 * 86400.0);
+        const int want = referenceClearCount(geo, lats, lons, time);
+        ASSERT_EQ(geo.clearCount(lats, lons, time), want)
+            << lat0 << ", " << lon0 << ", " << time;
+        if (want > 0 && want < 9) {
+            ++mixed;
+        }
+        points += 9;
+    }
+    EXPECT_GT(mixed, 1000);
+}
+
+TEST(GeoModel, CloudySumIsTheSmallestCloudySum)
+{
+    for (const GeoModel &geo :
+         {GeoModel(), GeoModel(GeoModelParams::legacyDomain())}) {
+        const double threshold = geo.cloudySum();
+        const double below = std::nextafter(
+            threshold, -std::numeric_limits<double>::infinity());
+        EXPECT_TRUE(geo.cloudyFromSum(threshold));
+        EXPECT_FALSE(geo.cloudyFromSum(below));
+        EXPECT_TRUE(geo.cloudyFromSum(std::nextafter(threshold, 2.0)));
+        EXPECT_FALSE(geo.cloudyFromSum(0.0));
+    }
+}
+
+/**
+ * The cloud field's full octave sum at a point, from GeoModel's seed
+ * derivation; its norm-scaled value is the field's at() bit for bit.
+ */
+double
+fullCloudSum(const GeoModel &geo, double lat, double lon, double time)
+{
+    const GeoModelParams &params = geo.params();
+    const util::SphericalFbm cloud(util::splitMix64(params.seed ^ 0x04), 4,
+                                   params.cloud_frequency);
+    const double cloud_time = time / (6.0 * 3600.0);
+    const util::SphereTrig dir = util::SphereTrig::of(lat, lon);
+    const util::NoisePoint p = cloud.embed(dir, cloud_time);
+    const util::FbmNoise &fbm = cloud.fbm();
+    double sum = 0.0;
+    for (int k = 0; k < fbm.octaves(); ++k) {
+        sum += fbm.amplitude(k) * fbm.octave(k, p.x, p.y, p.z);
+    }
+    EXPECT_EQ(sum * fbm.norm(), cloud.at(dir, cloud_time));
+    return sum;
+}
+
+TEST(GeoModel, ClearCountAtSumsWithinOneUlpOfThreshold)
+{
+    const GeoModel geo;
+    const double threshold = geo.cloudySum();
+    const double ulp = std::nextafter(threshold, 2.0) - threshold;
+    const auto cloudySumAt = [&](double lat, double lon, double time) {
+        return fullCloudSum(geo, lat, lon, time) >= threshold;
+    };
+    // Bisect time over the doubles between a clear and a cloudy instant
+    // at a fixed point; the two adjacent instants it ends on straddle the
+    // threshold, and about one bisection in seventy lands within an ulp.
+    util::Rng rng(34);
+    int found = 0;
+    int exact = 0;
+    for (int tries = 0; tries < 20000 && found < 24; ++tries) {
+        const double lat = rng.uniform(-1.5, 1.5);
+        const double lon = rng.uniform(-util::kPi, util::kPi);
+        const double t0 = rng.uniform(0.0, 1.0e5);
+        const double t1 = t0 + 3600.0;
+        const bool cloudy0 = cloudySumAt(lat, lon, t0);
+        if (cloudy0 == cloudySumAt(lat, lon, t1)) {
+            continue;
+        }
+        auto lo = std::bit_cast<std::uint64_t>(t0);
+        auto hi = std::bit_cast<std::uint64_t>(t1);
+        while (hi - lo > 1) {
+            const std::uint64_t mid = lo + (hi - lo) / 2;
+            if (cloudySumAt(lat, lon, std::bit_cast<double>(mid)) ==
+                cloudy0) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        for (const std::uint64_t key : {lo, hi}) {
+            const double time = std::bit_cast<double>(key);
+            const double sum = fullCloudSum(geo, lat, lon, time);
+            if (std::fabs(sum - threshold) > ulp) {
+                continue;
+            }
+            ++found;
+            exact += sum == threshold ? 1 : 0;
+            const bool cloudy = geo.cloudyAt(lat, lon, time);
+            ASSERT_EQ(cloudy, sum >= threshold) << lat << ", " << lon;
+            ASSERT_EQ(geo.cloudyFromSum(sum), cloudy);
+            const std::vector<double> one_lat = {lat};
+            const std::vector<double> one_lon = {lon};
+            ASSERT_EQ(geo.clearCount(one_lat, one_lon, time),
+                      cloudy ? 0 : 1);
+            // The same point inside a frame lattice.
+            const double spread = 50.0e3 / util::kEarthRadius;
+            const std::vector<double> lats = {lat - spread, lat,
+                                              lat + spread};
+            const std::vector<double> lons = {lon - spread, lon,
+                                              lon + spread};
+            ASSERT_EQ(geo.clearCount(lats, lons, time),
+                      referenceClearCount(geo, lats, lons, time));
+        }
+    }
+    EXPECT_GE(found, 24);
+    EXPECT_GE(exact, 1);
 }
 
 } // namespace

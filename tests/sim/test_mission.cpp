@@ -269,9 +269,12 @@ resultBits(const MissionResult &result)
     return bits;
 }
 
+// The golden tests skip when telemetry is compiled out, leaving these
+// helpers unreferenced in that build.
+
 /** Result bits of an unrecorded run followed by the export digests of
  *  a fully recorded one (whose result must match the first). */
-std::vector<std::uint64_t>
+[[maybe_unused]] std::vector<std::uint64_t>
 goldenPins(const std::function<MissionResult()> &run)
 {
     const bool metrics_were_enabled = telemetry::enabled();
@@ -310,7 +313,7 @@ goldenPins(const std::function<MissionResult()> &run)
     return pins;
 }
 
-std::string
+[[maybe_unused]] std::string
 formatPins(const std::vector<std::uint64_t> &pins)
 {
     std::string out = "{";
@@ -327,7 +330,7 @@ formatPins(const std::vector<std::uint64_t> &pins)
 
 /** A Kodan-like filter slower than the frame deadline (~22 s), so only
  *  part of the frames are processed, shipping half-size products. */
-FilterBehavior
+[[maybe_unused]] FilterBehavior
 slowProductFilter()
 {
     FilterBehavior filter;

@@ -53,8 +53,10 @@ class JournalGuard
     std::size_t saved_ring_;
 };
 
+// Unreferenced when telemetry is compiled out (those tests skip).
+
 /** Serialize the whole collected journal to a string. */
-std::string
+[[maybe_unused]] std::string
 exportJournal()
 {
     std::ostringstream out;
@@ -62,7 +64,7 @@ exportJournal()
     return out.str();
 }
 
-sim::MissionConfig
+[[maybe_unused]] sim::MissionConfig
 smallMission()
 {
     sim::MissionConfig config = sim::MissionConfig::landsatConstellation(3);

@@ -44,7 +44,8 @@ class LineageGuard
     bool was_enabled_;
 };
 
-std::string
+// Unreferenced when telemetry is compiled out (those tests skip).
+[[maybe_unused]] std::string
 exportJsonl()
 {
     std::ostringstream out;

@@ -42,7 +42,8 @@ class TimeSeriesGuard
     bool was_enabled_;
 };
 
-std::string
+// Unreferenced when telemetry is compiled out (those tests skip).
+[[maybe_unused]] std::string
 exportJson()
 {
     std::ostringstream out;

@@ -183,6 +183,30 @@ TEST(Trace, RingOverwritesOldestAndCountsDrops)
     EXPECT_EQ(ring.dropped(), 0u);
 }
 
+TEST(Trace, SpansAndInstantsShareRingSlots)
+{
+    // A span written over an instant's slot reports its own literal
+    // name, not the text the slot still holds, and an instant written
+    // over a span's slot reports its text.
+    TraceRing ring(3, 2);
+    ring.push({"an instant with text past the small-string buffer", 0.0,
+               -1.0, 3});
+    ring.pushSpan("span.one", 1.0, 2.0);
+    ring.pushSpan("span.two", 3.0, 4.0);
+    auto events = ring.events();
+    ASSERT_EQ(events.size(), 2u);
+    EXPECT_EQ(events[0].name, "span.one");
+    EXPECT_EQ(events[1].name, "span.two");
+    EXPECT_EQ(events[1].start_us, 3.0);
+    EXPECT_EQ(events[1].dur_us, 4.0);
+    EXPECT_EQ(events[1].tid, 3);
+    ring.push({"log: mark", 5.0, -1.0, 3});
+    events = ring.events();
+    EXPECT_EQ(events[0].name, "span.two");
+    EXPECT_EQ(events[1].name, "log: mark");
+    EXPECT_EQ(ring.dropped(), 2u);
+}
+
 TEST(Trace, InstantEventsHaveNegativeDuration)
 {
     TelemetryGuard guard;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
@@ -117,6 +118,102 @@ TEST(ValueNoise, GoldenValues)
     EXPECT_EQ(noise.at(0.5, 0.5, 0.5), 0x1.70a98eccf7a54p-2);
 }
 
+// --- kValueNoisePad: the rounded range of ValueNoise::at ----------------
+//
+// Exactly, the quintic weight lies in [0, 1] and ValueNoise::at in the
+// hull of its corners. Rounded, the weight exceeds 1 just below t = 1, so
+// a lerp can overshoot a corner; early exits that bound an octave by
+// [0, 1] would be wrong. The padded range bounds every rounded value.
+
+/** Where ValueNoise::smooth overshoots 1 the most in a scan below 1. */
+double
+mostOvershootingWeight()
+{
+    double best_t = std::nextafter(1.0, 0.0);
+    Rng rng(20);
+    for (int i = 0; i < 200000; ++i) {
+        const double t = 1.0 - 4.0e-6 * rng.uniform();
+        if (t < 1.0 && ValueNoise::smooth(t) > ValueNoise::smooth(best_t)) {
+            best_t = t;
+        }
+    }
+    return best_t;
+}
+
+TEST(ValueNoise, SmoothExceedsOneJustBelowOne)
+{
+    EXPECT_GT(ValueNoise::smooth(std::nextafter(1.0, 0.0)), 1.0);
+    EXPECT_EQ(ValueNoise::smooth(0.0), 0.0);
+    EXPECT_EQ(ValueNoise::smooth(1.0), 1.0);
+    // The worst overshoot a dense scan below 1 finds is a few ulp, far
+    // inside the padding.
+    const double worst = ValueNoise::smooth(mostOvershootingWeight());
+    EXPECT_GT(worst, 1.0);
+    EXPECT_LT(worst - 1.0, kValueNoisePad / 64.0);
+}
+
+TEST(ValueNoise, RoundedValuesStayInsidePaddedRange)
+{
+    const double lo = -kValueNoisePad;
+    const double hi = 1.0 + kValueNoisePad;
+    // Random coordinates at every scale the fields use.
+    ValueNoise noise(0x5eed);
+    Rng rng(21);
+    for (int i = 0; i < 1000000; ++i) {
+        const double scale = (i % 3 == 0) ? 1.0e3 : (i % 3 == 1) ? 50.0 : 2.0;
+        const double v = noise.at(rng.uniform(-scale, scale),
+                                  rng.uniform(-scale, scale),
+                                  rng.uniform(-scale, scale));
+        ASSERT_GE(v, lo);
+        ASSERT_LE(v, hi);
+    }
+    // Adversarial: the cells whose corners spread the most along x,
+    // sampled where the weight overshoots 1 the most, so the lerps
+    // extrapolate past a corner on every axis.
+    const double t = mostOvershootingWeight();
+    int past_corner = 0;
+    for (std::uint64_t seed = 0; seed < 2000; ++seed) {
+        const ValueNoise field(seed);
+        for (std::int64_t ix = -8; ix < 8; ++ix) {
+            const double a = field.cellValue(ix, 0, 0);
+            const double b = field.cellValue(ix + 1, 0, 0);
+            if (std::fabs(b - a) < 0.9) {
+                continue;
+            }
+            const double x = static_cast<double>(ix) + t;
+            for (const double yz : {0.0, t}) {
+                const double v = field.at(x, yz, yz);
+                ASSERT_GE(v, lo);
+                ASSERT_LE(v, hi);
+            }
+            // On the lattice edge (y = z = 0) the value is lerp(a, b,
+            // smooth(t)): past b, by the overshoot of the weight.
+            const double edge = field.at(x, 0.0, 0.0);
+            past_corner += (b > a ? edge > b : edge < b) ? 1 : 0;
+        }
+    }
+    EXPECT_GT(past_corner, 0);
+    // The worst corners the hash can produce, through at()'s three lerp
+    // levels at that weight: 0 and the largest value below 1 alternating
+    // along every axis. This is the bound's derivation in numbers.
+    const double w = ValueNoise::smooth(t);
+    const auto lerp = [](double p, double q, double s) {
+        return p + (q - p) * s;
+    };
+    const double top = std::nextafter(1.0, 0.0);
+    for (const double c0 : {0.0, top}) {
+        const double c1 = top - c0;
+        const double x0 = lerp(c0, c1, w);
+        const double x1 = lerp(c1, c0, w);
+        const double y0 = lerp(x0, x1, w);
+        const double y1 = lerp(x1, x0, w);
+        const double v = lerp(y0, y1, w);
+        EXPECT_GE(v, lo);
+        EXPECT_LE(v, hi);
+        EXPECT_TRUE(v < 0.0 || v > top) << "extrapolates past the hull";
+    }
+}
+
 TEST(ValueNoise, VariesAcrossSpace)
 {
     ValueNoise noise(6);
@@ -137,6 +234,30 @@ TEST(FbmNoise, StaysInUnitInterval)
         const double v = fbm.at(x, -x, 0.0);
         ASSERT_GE(v, 0.0);
         ASSERT_LE(v, 1.0);
+    }
+}
+
+TEST(FbmNoise, OctaveTermsSumToAtBitForBit)
+{
+    for (const FbmNoise &fbm : {FbmNoise(11, 1), FbmNoise(12, 4),
+                                FbmNoise(13, 5, 2.1, 0.45)}) {
+        Rng rng(22);
+        for (int i = 0; i < 2000; ++i) {
+            const double x = rng.uniform(-700.0, 700.0);
+            const double y = rng.uniform(-700.0, 700.0);
+            const double z = rng.uniform(-700.0, 700.0);
+            double sum = 0.0;
+            for (int k = 0; k < fbm.octaves(); ++k) {
+                sum += fbm.amplitude(k) * fbm.octave(k, x, y, z);
+            }
+            ASSERT_EQ(sum * fbm.norm(), fbm.at(x, y, z));
+            // The padded range bounds every continuation of a partial
+            // sum: after octave 0, the remaining octaves land between
+            // the two extensions.
+            const double first = fbm.amplitude(0) * fbm.octave(0, x, y, z);
+            ASSERT_GE(sum, fbm.extendSum(first, 1, -kValueNoisePad));
+            ASSERT_LE(sum, fbm.extendSum(first, 1, 1.0 + kValueNoisePad));
+        }
     }
 }
 
