@@ -7,12 +7,6 @@
  * the engine's throughput floor (satellite-days simulated per
  * wall-clock second) and its determinism contract.
  *
- * Results go to stdout and BENCH_constellation.run.json (in
- * KODAN_BENCH_CSV_DIR when set, else the bench cache directory); the
- * committed BENCH_constellation.json at the repo root is the cross-PR
- * trajectory maintained by `kodan-report aggregate` (see
- * scripts/check_regressions.sh).
- *
  * Flags (after the harness's --telemetry-out/--journal-out):
  *   --sats N               total satellites            (default 500)
  *   --planes P             orbital planes              (default 10)
@@ -29,7 +23,6 @@
  */
 
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -234,20 +227,6 @@ main(int argc, char **argv)
     std::cout << "\nHardware concurrency: "
               << std::thread::hardware_concurrency() << "\n";
     bench::emitCsv("bench_constellation", table);
-
-    const std::string path = bench::runRecordPath("constellation");
-    std::ofstream json(path);
-    if (json) {
-        json << "{\n  \"satellites\": " << sats
-             << ",\n  \"planes\": " << planes
-             << ",\n  \"days\": " << days
-             << ",\n  \"stations\": " << config.mission.stations.size()
-             << ",\n  \"shard_size\": " << shard_size
-             << ",\n  \"frames_observed\": " << totals.frames_observed
-             << ",\n  \"bits_downlinked\": " << totals.bits_downlinked
-             << ",\n  \"wall_seconds\": " << wall
-             << ",\n  \"sat_days_per_second\": " << throughput << "\n}\n";
-    }
 
     if (assert_throughput > 0.0 && throughput < assert_throughput) {
         std::cerr << "[kodan-bench] THROUGHPUT REGRESSION: " << throughput

@@ -10,16 +10,9 @@
  * --telemetry-out (the runtime's deterministic counters, diffed
  * against bench/baselines/dataplane.metrics.json) and --profile-out
  * (the span table diffed against bench/baselines/prof.spans.json).
- *
- * Results go to stdout and BENCH_dataplane.run.json (in
- * KODAN_BENCH_CSV_DIR when set, else the bench cache directory). The
- * committed BENCH_dataplane.json at the repo root is the cross-PR
- * trajectory maintained by `kodan-report aggregate` (see
- * scripts/check_regressions.sh).
  */
 
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -94,14 +87,12 @@ main(int argc, char **argv)
 
     util::setGlobalThreads(0);
 
-    // Wall-clock as a timer (diffed with the machine-noise tolerance);
-    // the derived rate under bench.dataplane.ratio.* (excluded from the
-    // diff, recorded in the trajectory).
+    // Wall-clock as a timer (diffed with the machine-noise tolerance).
 #ifndef KODAN_TELEMETRY_DISABLED
     if (telemetry::enabled()) {
-        auto &reg = telemetry::registry();
-        reg.timer("bench.dataplane.time.runtime_batch").record(seconds);
-        reg.gauge("bench.dataplane.ratio.runtime_batch.fps").set(fps);
+        telemetry::registry()
+            .timer("bench.dataplane.time.runtime_batch")
+            .record(seconds);
     }
 #endif
 
@@ -113,13 +104,5 @@ main(int argc, char **argv)
               << " frames per try at KODAN_THREADS=1, best of " << tries
               << " tries.\n";
     bench::emitCsv("bench_dataplane", table);
-
-    const std::string path = bench::runRecordPath("dataplane");
-    std::ofstream json(path);
-    if (json) {
-        json << "{\n  \"workload\": \"runtime_batch\",\n  \"seconds\": "
-             << seconds << ",\n  \"fps\": " << fps << "\n}\n";
-        std::cerr << "[kodan-bench] wrote " << path << "\n";
-    }
     return 0;
 }

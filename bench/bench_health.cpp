@@ -19,8 +19,7 @@
  *
  * The measured (health-on) run executes last so the harness's
  * --alerts-out / --telemetry-out exit snapshots capture it; results go
- * to stdout and BENCH_health.run.json (in KODAN_BENCH_CSV_DIR when
- * set, else the bench cache directory).
+ * to stdout.
  *
  * Flags (after the harness's --telemetry-out/--journal-out/--alerts-out):
  *   --sats N             total satellites                 (default 12)
@@ -38,7 +37,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -346,23 +344,6 @@ main(int argc, char **argv)
                   util::TablePrinter::fmt(overhead_best, 4)});
     table.print(std::cout);
     bench::emitCsv("bench_health", table);
-
-    const std::string path = bench::runRecordPath("health");
-    std::ofstream json(path);
-    if (json) {
-        json << "{\n  \"satellites\": " << s.sats
-             << ",\n  \"days\": " << s.days
-             << ",\n  \"degraded_satellite\": " << s.degrade_sat
-             << ",\n  \"health_observations\": " << snapshot.observations
-             << ",\n  \"alerts_fired\": " << snapshot.alerts_fired
-             << ",\n  \"alerts_firing\": " << snapshot.alerts_firing
-             << ",\n  \"wall_seconds_off\": " << wall_off
-             << ",\n  \"wall_seconds_on\": " << wall_on
-             << ",\n  \"fold_seconds\": " << fold_s
-             << ",\n  \"fold_wall_fraction\": " << overhead
-             << ",\n  \"fold_wall_fraction_best\": " << overhead_best
-             << "\n}\n";
-    }
 
     if (assert_overhead > 0.0 && overhead_best > assert_overhead) {
         std::cerr << "[kodan-bench] OVERHEAD REGRESSION: health fold "

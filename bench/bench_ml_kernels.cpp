@@ -24,12 +24,6 @@
  * the Naive oracle while it is being timed; a divergence exits 1 — a
  * speedup that changed the numbers would be a bug, not a win.
  *
- * Results go to stdout and to BENCH_ml_kernels.run.json (in
- * KODAN_BENCH_CSV_DIR when set, else the bench cache directory). The
- * committed BENCH_ml_kernels.json at the repo root is the cross-PR
- * trajectory maintained by `kodan-report aggregate` (see
- * scripts/check_regressions.sh).
- *
  * --assert-speedup enforces the acceptance floors (>= 3x mlp_forward,
  * >= 1.5x transform_sweep, >= 2.5x gemm_i8 over blocked fp64); left off
  * in the timer-tolerant regression smoke where wall-clock is too noisy
@@ -41,7 +35,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <sstream>
@@ -516,12 +509,8 @@ main(int argc, char **argv)
                         : 0.0;
     }
 
-    // Feed the measurements into the telemetry snapshot so the
-    // kodan-report pipeline (check_regressions.sh baseline diff +
-    // BENCH_ml_kernels.json trajectory) sees them: wall-clock as timers
-    // (diffed with the machine-noise tolerance), derived ratios under
-    // bench.ml_kernels.ratio.* (excluded from the diff, recorded in the
-    // trajectory).
+    // Feed the wall-clock into the telemetry snapshot as timers, which
+    // check_regressions.sh diffs with the machine-noise tolerance.
 #ifndef KODAN_TELEMETRY_DISABLED
     if (telemetry::enabled()) {
         auto &reg = telemetry::registry();
@@ -530,13 +519,6 @@ main(int argc, char **argv)
                 .record(m.naive_seconds);
             reg.timer("bench.ml_kernels.time." + m.workload + ".blocked")
                 .record(m.blocked_seconds);
-            reg.gauge("bench.ml_kernels.ratio." + m.workload + ".speedup")
-                .set(m.speedup);
-            if (m.gflops > 0.0) {
-                reg.gauge("bench.ml_kernels.ratio." + m.workload +
-                          ".gflops")
-                    .set(m.gflops);
-            }
         }
     }
 #endif
@@ -558,24 +540,6 @@ main(int argc, char **argv)
                  "reference,\nso speedup is int8-over-fp64 at the same "
                  "blocking.\n";
     bench::emitCsv("bench_ml_kernels", table);
-
-    // JSON record for the perf trajectory.
-    const std::string path = bench::runRecordPath("ml_kernels");
-    std::ofstream json(path);
-    if (json) {
-        json << "{\n  \"measurements\": [\n";
-        for (std::size_t i = 0; i < measurements.size(); ++i) {
-            const auto &m = measurements[i];
-            json << "    {\"workload\": \"" << m.workload
-                 << "\", \"naive_seconds\": " << m.naive_seconds
-                 << ", \"blocked_seconds\": " << m.blocked_seconds
-                 << ", \"speedup\": " << m.speedup
-                 << ", \"gflops\": " << m.gflops << "}"
-                 << (i + 1 < measurements.size() ? "," : "") << "\n";
-        }
-        json << "  ]\n}\n";
-        std::cerr << "[kodan-bench] wrote " << path << "\n";
-    }
 
     if (assert_speedup) {
         int status = 0;

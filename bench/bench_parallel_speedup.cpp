@@ -2,13 +2,7 @@
  * @file
  * Wall-clock speedup of the deterministic parallel execution layer on
  * the three hot paths (transformer sweep, batch runtime, mission sim),
- * swept over thread counts. Results go to stdout and to
- * BENCH_parallel_speedup.run.json (in KODAN_BENCH_CSV_DIR when set, else
- * the bench cache directory). The committed BENCH_parallel_speedup.json at
- * the repo root is the cross-PR trajectory maintained by `kodan-report
- * aggregate` (see scripts/check_regressions.sh) — the raw run file uses
- * a different name so running the bench from the repo root can never
- * clobber the trajectory.
+ * swept over thread counts. Results go to stdout.
  *
  * Every workload is also checked for thread-count invariance while it is
  * being timed: a speedup that changed the numbers would be a bug, not a
@@ -16,7 +10,6 @@
  */
 
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -174,24 +167,5 @@ main(int argc, char **argv)
               << " (speedup is bounded by available cores; results are "
                  "bit-identical at every thread count by construction)\n";
     bench::emitCsv("bench_parallel_speedup", table);
-
-    // JSON record for the perf trajectory.
-    const std::string path = bench::runRecordPath("parallel_speedup");
-    std::ofstream json(path);
-    if (json) {
-        json << "{\n  \"hardware_concurrency\": "
-             << std::thread::hardware_concurrency()
-             << ",\n  \"measurements\": [\n";
-        for (std::size_t i = 0; i < measurements.size(); ++i) {
-            const auto &m = measurements[i];
-            json << "    {\"workload\": \"" << m.workload
-                 << "\", \"threads\": " << m.threads
-                 << ", \"wall_seconds\": " << m.seconds
-                 << ", \"speedup_vs_1t\": " << m.speedup << "}"
-                 << (i + 1 < measurements.size() ? "," : "") << "\n";
-        }
-        json << "  ]\n}\n";
-        std::cerr << "[kodan-bench] wrote " << path << "\n";
-    }
     return 0;
 }

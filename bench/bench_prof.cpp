@@ -29,7 +29,6 @@
  * ceiling breach.
  */
 
-#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -259,12 +258,8 @@ verify(double ceiling, int gemm_reps)
         prof::setProfilingEnabled(profiled);
         double best = 0.0;
         for (int r = 0; r < 3; ++r) {
-            const auto start = std::chrono::steady_clock::now();
-            gemmBurst(gemm_reps);
             const double elapsed =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
+                kodan::bench::timeSeconds([&] { gemmBurst(gemm_reps); });
             if (r == 0 || elapsed < best) {
                 best = elapsed;
             }

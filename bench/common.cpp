@@ -16,9 +16,6 @@ namespace {
 std::string
 cachePath()
 {
-    if (const char *env = std::getenv("KODAN_BENCH_CACHE")) {
-        return env;
-    }
     if (const char *dir = std::getenv("KODAN_BENCH_CACHE_DIR")) {
         return std::string(dir) + "/kodan_bench_cache.txt";
     }
@@ -172,23 +169,6 @@ emitCsv(const std::string &name, const util::TablePrinter &table)
     }
     table.writeCsv(file);
     std::cerr << "[kodan-bench] wrote " << path << "\n";
-}
-
-std::string
-runRecordPath(const std::string &name)
-{
-    const std::string file = "BENCH_" + name + ".run.json";
-    if (const char *dir = std::getenv("KODAN_BENCH_CSV_DIR")) {
-        return std::string(dir) + "/" + file;
-    }
-    if (const char *dir = std::getenv("KODAN_BENCH_CACHE_DIR")) {
-        return std::string(dir) + "/" + file;
-    }
-#ifdef KODAN_BENCH_CACHE_DEFAULT_DIR
-    return std::string(KODAN_BENCH_CACHE_DEFAULT_DIR) + "/" + file;
-#else
-    return file;
-#endif
 }
 
 double

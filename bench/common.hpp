@@ -5,9 +5,8 @@
  * Every figure bench needs the measured artifacts of the seven
  * applications. They are computed once (multi-threaded across
  * applications) and cached to a text bundle so re-running the suite is
- * cheap. Set KODAN_BENCH_REFRESH=1 to force recomputation,
- * KODAN_BENCH_CACHE=<path> to move the cache file, or
- * KODAN_BENCH_CACHE_DIR=<dir> to move just its directory (the default
+ * cheap. Set KODAN_BENCH_REFRESH=1 to force recomputation, or
+ * KODAN_BENCH_CACHE_DIR=<dir> to move the cache (the default directory
  * is the build tree, never the source tree).
  */
 
@@ -72,15 +71,6 @@ void banner(const std::string &title, const std::string &paper_ref);
  * plotting; no-op when the environment variable is unset.
  */
 void emitCsv(const std::string &name, const util::TablePrinter &table);
-
-/**
- * Where a bench writes its BENCH_<name>.run.json record:
- * KODAN_BENCH_CSV_DIR when set, else the bench cache directory
- * (KODAN_BENCH_CACHE_DIR or the build tree) — never the directory the
- * bench happens to run in, so raw run records cannot litter a source
- * checkout.
- */
-std::string runRecordPath(const std::string &name);
 
 } // namespace kodan::bench
 

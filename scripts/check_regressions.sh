@@ -22,11 +22,8 @@
 # Usage:
 #   scripts/check_regressions.sh [--build-dir DIR] [--rebaseline]
 #
-# --rebaseline regenerates bench/baselines/ from the current build and
-# appends an entry (labeled with the current git commit) to the
-# BENCH_parallel_speedup.json, BENCH_ml_kernels.json,
-# BENCH_dataplane.json, BENCH_constellation.json, and BENCH_health.json
-# trajectories at the repo root, instead of diffing.
+# --rebaseline regenerates bench/baselines/ from the current build
+# instead of diffing.
 #
 # Baseline caveat: the committed baselines are toolchain-pinned. Counters,
 # gauges, journals, and time series are bit-deterministic for a given
@@ -101,8 +98,8 @@ echo "[check_regressions] running bench_fig10 mission sweep ..."
 
 # bench_ml_kernels exits non-zero on any Blocked-vs-Naive bit mismatch,
 # so this run is the kernel-correctness smoke as well as the perf probe;
-# no --assert-speedup here because the diff's timers already tolerate
-# machine noise (floors are asserted when the trajectory is recorded).
+# no --assert-speedup here because wall-clock on a shared machine is too
+# noisy to gate on (the diff's timers tolerate that noise).
 echo "[check_regressions] running bench_ml_kernels ..."
 (cd "$WORKDIR" && "$MLKERN_BENCH" \
     --telemetry-out "$WORKDIR/ml_kernels.metrics.json" \
@@ -184,23 +181,6 @@ if [[ "$REBASELINE" -eq 1 ]]; then
     # Despite the name, this is a full profile document; only its span
     # table is asserted by the diff below (frames are machine-shaped).
     cp "$WORKDIR/dataplane.prof.json" "$BASELINES/prof.spans.json"
-    LABEL="$(git -C "$REPO_ROOT" rev-parse --short HEAD 2>/dev/null ||
-             echo local)"
-    "$REPORT" aggregate --name parallel_speedup --label "$LABEL" \
-        --out "$REPO_ROOT/BENCH_parallel_speedup.json" \
-        "$WORKDIR/parallel_speedup.metrics.json"
-    "$REPORT" aggregate --name ml_kernels --label "$LABEL" \
-        --out "$REPO_ROOT/BENCH_ml_kernels.json" \
-        "$WORKDIR/ml_kernels.metrics.json"
-    "$REPORT" aggregate --name dataplane --label "$LABEL" \
-        --out "$REPO_ROOT/BENCH_dataplane.json" \
-        "$WORKDIR/dataplane.metrics.json"
-    "$REPORT" aggregate --name constellation --label "$LABEL" \
-        --out "$REPO_ROOT/BENCH_constellation.json" \
-        "$WORKDIR/constellation_golden.metrics.json"
-    "$REPORT" aggregate --name health --label "$LABEL" \
-        --out "$REPO_ROOT/BENCH_health.json" \
-        "$WORKDIR/health.metrics.json"
     echo "[check_regressions] baselines rebaselined in $BASELINES"
     exit 0
 fi
@@ -226,22 +206,18 @@ echo "[check_regressions] diffing parallel_speedup against baseline ..."
     "$WORKDIR/parallel_speedup.metrics.json" \
     --tol-timer 100 || STATUS=1
 
-# Ratio gauges (speedup, GFLOP/s) measure this machine and vary with
-# load, so they are recorded in the trajectory but not diffed; the
-# deterministic counters/histograms and the bench's own bit-identity
+# The deterministic counters/histograms and the bench's own bit-identity
 # exit code are the correctness guard.
 echo "[check_regressions] diffing ml_kernels against baseline ..."
 "$REPORT" diff \
     "$BASELINES/ml_kernels.metrics.json" \
     "$WORKDIR/ml_kernels.metrics.json" \
-    --ignore bench.ml_kernels.ratio \
     --tol-timer 100 || STATUS=1
 
 echo "[check_regressions] diffing dataplane against baseline ..."
 "$REPORT" diff \
     "$BASELINES/dataplane.metrics.json" \
     "$WORKDIR/dataplane.metrics.json" \
-    --ignore bench.dataplane.ratio \
     --tol-timer 100 || STATUS=1
 
 echo "[check_regressions] diffing fig10 mission series against baseline ..."

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Full CI sweep: warning-clean tier-1 build + complete ctest run, a
-# warning-clean build with telemetry compiled out, then the
+# Full CI sweep: warning-clean tier-1 build + complete ctest run, the
+# same with telemetry compiled out, then the
 # concurrency/observability-labeled suites again under ThreadSanitizer
 # and AddressSanitizer builds. Mirrors what the regression driver runs,
 # so a green ci.sh locally means the PR gates should pass.
@@ -10,7 +10,7 @@
 #
 # Build trees:
 #   build/              default flags + -Werror    (tier-1)
-#   build-notelemetry/  -DKODAN_TELEMETRY=OFF + -Werror (build only)
+#   build-notelemetry/  -DKODAN_TELEMETRY=OFF + -Werror
 #   build-tsan/         -DKODAN_SANITIZE=thread    (bench/examples off)
 #   build-asan/         -DKODAN_SANITIZE=address   (bench/examples off)
 #   build-native/       -DKODAN_NATIVE=ON          (mlkernels suite only)
@@ -53,12 +53,14 @@ cmake --build "$REPO_ROOT/build" -j "$JOBS"
 (cd "$REPO_ROOT/build" && ctest --output-on-failure -j "$JOBS")
 
 # With instrumentation compiled out, values read only by the telemetry
-# macros go unused; this build keeps that configuration warning-clean.
-echo "[ci] telemetry compiled out: configure + build (-Werror)"
+# macros go unused; this build keeps that configuration warning-clean
+# and its results pinned (the golden tests compare the result bits).
+echo "[ci] telemetry compiled out: configure + build (-Werror) + full ctest"
 cmake -B "$REPO_ROOT/build-notelemetry" -S "$REPO_ROOT" \
     -DKODAN_TELEMETRY=OFF \
     -DKODAN_WARNINGS_AS_ERRORS=ON
 cmake --build "$REPO_ROOT/build-notelemetry" -j "$JOBS"
+(cd "$REPO_ROOT/build-notelemetry" && ctest --output-on-failure -j "$JOBS")
 
 if [[ "$SKIP_SANITIZERS" -eq 1 ]]; then
     echo "[ci] sanitizers skipped (--skip-sanitizers)"

@@ -250,8 +250,8 @@ class SatelliteScan
     std::vector<StationScan> scans_;
     /** Upper bound on the satellite-site angular rate times the step. */
     double stride_rate_ = 0.0;
-    /** Trajectory block: samples base_, base_ + 1, ... (the first is the
-     *  previous block's last sample, kept for refinement). */
+    /** Current trajectory block: samples base_, base_ + 1, ... (the
+     *  first is the previous block's last sample, kept for refinement). */
     std::size_t base_ = 0;
     std::vector<double> times_;
     std::vector<orbit::Vec3> positions_;

@@ -20,48 +20,6 @@ detectorQuantize(double value)
     return detail::fromFixed(detail::toFixed(value));
 }
 
-EwmaLevelShift::EwmaLevelShift(const EwmaConfig &config) : config_(config)
-{
-}
-
-Verdict
-EwmaLevelShift::step(double value)
-{
-    const double v = detectorQuantize(value);
-    Verdict verdict;
-    if (seen_ == 0) {
-        mean_ = v;
-        dev_ = 0.0;
-        seen_ = 1;
-        return verdict;
-    }
-    const double residual = v - mean_;
-    const double envelope = std::max(
-        dev_, config_.min_dev + config_.rel_dev * std::fabs(mean_));
-    if (seen_ >= config_.warmup && envelope > 0.0) {
-        verdict.score = std::fabs(residual) / (config_.k * envelope);
-        verdict.anomalous = verdict.score > 1.0;
-    }
-    // The envelope adapts even through breaches: a genuine level shift
-    // is flagged while the mean walks over, then becomes the new
-    // normal — exactly the firing→resolved arc the alert engine keys
-    // on. State stays quantized so the sequence of states is a pure
-    // function of the quantized input stream.
-    mean_ = detectorQuantize(mean_ + config_.alpha * residual);
-    dev_ = detectorQuantize(
-        dev_ + config_.alpha * (std::fabs(residual) - dev_));
-    ++seen_;
-    return verdict;
-}
-
-void
-EwmaLevelShift::reset()
-{
-    mean_ = 0.0;
-    dev_ = 0.0;
-    seen_ = 0;
-}
-
 RobustZScore::RobustZScore(const RobustZConfig &config) : config_(config)
 {
     if (config_.window == 0) {

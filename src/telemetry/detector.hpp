@@ -23,12 +23,9 @@
  *  - **No wall clock.** Detectors only ever see sim-time bins; nothing
  *    here reads a clock.
  *
- * Three detectors cover the degradation taxonomy the Kodan fleet model
+ * Two detectors cover the degradation taxonomy the Kodan fleet model
  * produces (see DESIGN.md "Fleet health plane"):
  *
- *  - EwmaLevelShift — persistent level changes (elision-rate collapse,
- *    queue growth) via exponentially weighted mean + absolute-deviation
- *    envelopes.
  *  - RobustZScore — point outliers against a sliding median/MAD window
  *    (robust to the outliers it is trying to flag).
  *  - Flatline — stuck-at sensors: a run of bit-identical quantized
@@ -58,44 +55,6 @@ struct Verdict
  *  scale 2^-64, truncation toward zero; NaN -> 0). Exposed so tests
  *  and callers can reproduce the detectors' view of a stream. */
 double detectorQuantize(double value);
-
-/** Tuning for EwmaLevelShift. */
-struct EwmaConfig
-{
-    /** Smoothing factor in (0, 1]; larger adapts faster. */
-    double alpha = 0.25;
-    /** Breach when |residual| > k * deviation envelope. */
-    double k = 6.0;
-    /** Observations consumed before verdicts may fire. */
-    std::int64_t warmup = 8;
-    /** Deviation floor, absolute plus mean-relative, so a stream that
-     *  has been perfectly steady does not alarm on the first ulp. */
-    double min_dev = 1e-9;
-    double rel_dev = 1e-3;
-};
-
-/**
- * EWMA level-shift detector: tracks an exponentially weighted mean and
- * mean absolute deviation; flags observations whose residual exceeds
- * k deviations. Catches persistent level changes a point-outlier
- * detector smooths over.
- */
-class EwmaLevelShift
-{
-  public:
-    explicit EwmaLevelShift(const EwmaConfig &config = {});
-
-    /** Feed one observation; returns the verdict for it. */
-    Verdict step(double value);
-
-    void reset();
-
-  private:
-    EwmaConfig config_;
-    double mean_ = 0.0;
-    double dev_ = 0.0;
-    std::int64_t seen_ = 0;
-};
 
 /** Tuning for RobustZScore. */
 struct RobustZConfig

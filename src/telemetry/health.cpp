@@ -41,8 +41,7 @@ constexpr std::int64_t kNoBin = std::numeric_limits<std::int64_t>::min();
 struct RuleState
 {
     explicit RuleState(const DetectorSuiteConfig &detectors)
-        : ewma(detectors.ewma), robust(detectors.robust),
-          flatline(detectors.flatline)
+        : robust(detectors.robust), flatline(detectors.flatline)
     {
     }
 
@@ -50,12 +49,8 @@ struct RuleState
     std::int64_t clear_streak = 0;
     /** Index into Impl::alerts while firing, -1 otherwise. */
     std::int64_t open_alert = -1;
-    bool have_prev = false;
-    double prev_value = 0.0;
-    std::int64_t prev_bin = 0;
     /** Recent breaching observations, pending until the alert fires. */
     std::vector<AlertEvidence> pending;
-    EwmaLevelShift ewma;
     RobustZScore robust;
     Flatline flatline;
 };
@@ -328,28 +323,9 @@ struct HealthPlane::Impl
                                       : 1.0)
                                : 0.0;
                 break;
-              case AlertRule::Kind::Rate: {
-                if (state.have_prev && bin > state.prev_bin) {
-                    const double rate =
-                        std::fabs(v - state.prev_value) /
-                        static_cast<double>(bin - state.prev_bin);
-                    breach = rate > rule.threshold;
-                    score = breach ? (rule.threshold != 0.0
-                                          ? rate / rule.threshold
-                                          : 1.0)
-                                   : 0.0;
-                }
-                state.have_prev = true;
-                state.prev_value = v;
-                state.prev_bin = bin;
-                break;
-              }
               case AlertRule::Kind::Anomaly: {
                 Verdict verdict;
                 switch (rule.detector) {
-                  case AlertRule::Detector::Ewma:
-                    verdict = state.ewma.step(v);
-                    break;
                   case AlertRule::Detector::Robust:
                     verdict = state.robust.step(v);
                     break;

@@ -16,10 +16,10 @@
  *    clock, so verdicts are pure functions of the observation
  *    sequence and inherit the engines' bit-identity across
  *    KODAN_THREADS and shard sizes.
- *  - **Online detectors** (detector.hpp): EWMA level-shift, MAD robust
- *    z-score, fixed-point flatline — instantiated per (rule, entity)
- *    stream by the rules engine.
- *  - **Declarative alert rules**: threshold / rate / absence / anomaly
+ *  - **Online detectors** (detector.hpp): MAD robust z-score,
+ *    fixed-point flatline — instantiated per (rule, entity) stream by
+ *    the rules engine.
+ *  - **Declarative alert rules**: threshold / absence / anomaly
  *    conditions over signal selectors, a firing→resolved state machine
  *    with consecutive-observation hysteresis, and per-alert evidence:
  *    the breaching observations plus the entity's journal lane window
@@ -73,8 +73,6 @@ struct AlertRule
     {
         /** Breach when value `op` threshold. */
         Threshold,
-        /** Breach when |Δvalue| / Δbin > threshold. */
-        Rate,
         /** Breach when a previously seen stream goes silent for more
          *  than `gap_bins` bins (evaluated at advance()/finish()). */
         Absence,
@@ -90,7 +88,6 @@ struct AlertRule
 
     enum class Detector
     {
-        Ewma,
         Robust,
         Flatline,
     };
@@ -101,12 +98,12 @@ struct AlertRule
     std::string signal;
     Kind kind = Kind::Threshold;
     Op op = Op::Gt;
-    /** Threshold / rate limit (unused for Absence/Anomaly). */
+    /** Threshold (unused for Absence/Anomaly). */
     double threshold = 0.0;
     /** Absence only: silent bins tolerated before breaching. */
     std::int64_t gap_bins = 48;
     /** Anomaly only: which detector instance the rule runs. */
-    Detector detector = Detector::Ewma;
+    Detector detector = Detector::Robust;
     /** Consecutive breaching observations before the alert fires. */
     std::int64_t fire_after = 1;
     /** Consecutive clear observations before a firing alert resolves. */
@@ -189,7 +186,6 @@ struct HealthSnapshot
 /** Detector tuning shared by all Anomaly rules. */
 struct DetectorSuiteConfig
 {
-    EwmaConfig ewma;
     RobustZConfig robust;
     FlatlineConfig flatline;
 };

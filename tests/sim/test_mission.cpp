@@ -269,12 +269,9 @@ resultBits(const MissionResult &result)
     return bits;
 }
 
-// The golden tests skip when telemetry is compiled out, leaving these
-// helpers unreferenced in that build.
-
 /** Result bits of an unrecorded run followed by the export digests of
  *  a fully recorded one (whose result must match the first). */
-[[maybe_unused]] std::vector<std::uint64_t>
+std::vector<std::uint64_t>
 goldenPins(const std::function<MissionResult()> &run)
 {
     const bool metrics_were_enabled = telemetry::enabled();
@@ -313,7 +310,19 @@ goldenPins(const std::function<MissionResult()> &run)
     return pins;
 }
 
-[[maybe_unused]] std::string
+/** The pins this build reproduces: with telemetry compiled out nothing
+ *  is recorded, so the journal, series and lineage digests that end
+ *  @p pins are dropped and only the result bits are compared. */
+std::vector<std::uint64_t>
+comparablePins(std::vector<std::uint64_t> pins)
+{
+#ifdef KODAN_TELEMETRY_DISABLED
+    pins.resize(pins.size() - 3);
+#endif
+    return pins;
+}
+
+std::string
 formatPins(const std::vector<std::uint64_t> &pins)
 {
     std::string out = "{";
@@ -330,7 +339,7 @@ formatPins(const std::vector<std::uint64_t> &pins)
 
 /** A Kodan-like filter slower than the frame deadline (~22 s), so only
  *  part of the frames are processed, shipping half-size products. */
-[[maybe_unused]] FilterBehavior
+FilterBehavior
 slowProductFilter()
 {
     FilterBehavior filter;
@@ -456,9 +465,6 @@ struct GoldenCase
 
 TEST(MissionGolden, OutputsArePinned)
 {
-#ifdef KODAN_TELEMETRY_DISABLED
-    GTEST_SKIP() << "telemetry compiled out";
-#else
     const MissionConfig day = MissionConfig::landsatConstellation(3);
     const data::GeoModel world;
     const MissionSim null_world(nullptr, 1.0 / 3.0);
@@ -507,10 +513,9 @@ TEST(MissionGolden, OutputsArePinned)
     for (const auto &golden : cases) {
         SCOPED_TRACE(golden.name);
         const std::vector<std::uint64_t> pins = goldenPins(golden.run);
-        EXPECT_EQ(pins, golden.pins) << golden.name << " pins are now "
-                                     << formatPins(pins);
+        EXPECT_EQ(comparablePins(pins), comparablePins(golden.pins))
+            << golden.name << " pins are now " << formatPins(pins);
     }
-#endif
 }
 
 // A scheduler step that does not divide the horizon or land on whole
@@ -520,18 +525,14 @@ TEST(MissionGolden, OutputsArePinned)
 // queue's choice reproduces these pins.
 TEST(MissionGolden, FractionalSchedulerStepIsPinned)
 {
-#ifdef KODAN_TELEMETRY_DISABLED
-    GTEST_SKIP() << "telemetry compiled out";
-#else
     MissionConfig config = MissionConfig::landsatConstellation(3);
     config.duration = 5939.84;
     config.scheduler_step = 7.3;
     const MissionSim sim(nullptr, 1.0 / 3.0);
     const std::vector<std::uint64_t> pins =
         goldenPins([&] { return sim.run(config, slowProductFilter()); });
-    EXPECT_EQ(pins, kFractionalStepPins)
+    EXPECT_EQ(comparablePins(pins), comparablePins(kFractionalStepPins))
         << "pins are now " << formatPins(pins);
-#endif
 }
 
 } // namespace

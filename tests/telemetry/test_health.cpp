@@ -41,49 +41,6 @@ TEST(DetectorQuantize, IdempotentAndNanSafe)
     EXPECT_EQ(detectorQuantize(0.0), 0.0);
 }
 
-TEST(EwmaLevelShift, SteadyStreamNeverFires)
-{
-    EwmaLevelShift detector;
-    for (int i = 0; i < 200; ++i) {
-        const Verdict verdict = detector.step(10.0 + 0.001 * (i % 3));
-        EXPECT_FALSE(verdict.anomalous) << "observation " << i;
-    }
-}
-
-TEST(EwmaLevelShift, WarmupSuppressesVerdicts)
-{
-    EwmaConfig config;
-    config.warmup = 8;
-    EwmaLevelShift detector(config);
-    // Even a wild stream stays quiet until `warmup` observations are in.
-    for (int i = 0; i < 8; ++i) {
-        EXPECT_FALSE(detector.step(i % 2 == 0 ? 1e6 : -1e6).anomalous)
-            << "observation " << i;
-    }
-}
-
-TEST(EwmaLevelShift, LevelShiftFires)
-{
-    EwmaLevelShift detector;
-    for (int i = 0; i < 64; ++i) {
-        detector.step(100.0 + (i % 2 == 0 ? 0.5 : -0.5));
-    }
-    const Verdict verdict = detector.step(1e4);
-    EXPECT_TRUE(verdict.anomalous);
-    EXPECT_GE(verdict.score, 1.0);
-}
-
-TEST(EwmaLevelShift, ResetForgetsHistory)
-{
-    EwmaLevelShift detector;
-    for (int i = 0; i < 64; ++i) {
-        detector.step(100.0);
-    }
-    detector.reset();
-    // Fresh warmup: the first observation after reset cannot fire.
-    EXPECT_FALSE(detector.step(1e9).anomalous);
-}
-
 TEST(RobustZScore, OutlierFiresNeighborsDoNot)
 {
     RobustZScore detector;
