@@ -7,9 +7,8 @@
  * to keep the number meaningful on noisy shared machines.
  *
  * scripts/check_regressions.sh runs it under KODAN_QUANT=int8 with
- * --telemetry-out (the runtime's deterministic counters, diffed
- * against bench/baselines/dataplane.metrics.json) and --profile-out
- * (the span table diffed against bench/baselines/prof.spans.json).
+ * --telemetry-out: the runtime's deterministic counters and timer call
+ * counts are diffed against bench/baselines/dataplane.metrics.json.
  */
 
 #include <algorithm>

@@ -89,6 +89,19 @@ canonicalFields(const json::Value &fields)
     return out;
 }
 
+/** The numbers in @p object's array @p key (empty when absent). */
+std::vector<double>
+numbers(const json::Value &object, const char *key)
+{
+    std::vector<double> out;
+    if (const json::Value *array = object.find(key); array != nullptr) {
+        for (const json::Value &value : array->array()) {
+            out.push_back(value.asNumber());
+        }
+    }
+    return out;
+}
+
 } // namespace
 
 /* ------------------------------------------------------------------ */
@@ -143,13 +156,13 @@ parseSnapshot(const std::string &text, Snapshot &out, std::string *error)
             m.count =
                 static_cast<std::int64_t>(entry.numberOr("count", 0.0));
             m.sum = entry.numberOr("total_s", 0.0);
-            m.max = entry.numberOr("max_s", 0.0);
         } else {
-            // histogram (and any future kind): generic count/sum/max.
+            // histogram (and any future kind): count, sum, buckets.
             m.count =
                 static_cast<std::int64_t>(entry.numberOr("count", 0.0));
             m.sum = entry.numberOr("sum", 0.0);
-            m.max = entry.numberOr("max", 0.0);
+            m.edges = numbers(entry, "edges");
+            m.buckets = numbers(entry, "buckets");
         }
         out.metrics.push_back(std::move(m));
     }
@@ -485,28 +498,6 @@ loadAlerts(const std::string &path, AlertsDoc &out, std::string *error)
 /* ------------------------------------------------------------------ */
 
 bool
-Tolerances::ignored(const std::string &name) const
-{
-    for (const std::string &prefix : ignore_prefixes) {
-        if (name.compare(0, prefix.size(), prefix) == 0) {
-            return true;
-        }
-    }
-    return false;
-}
-
-double
-Tolerances::relFor(const MetricReading &metric) const
-{
-    for (const auto &[name, tol] : overrides) {
-        if (name == metric.name) {
-            return tol;
-        }
-    }
-    return metric.type == "timer" ? timer_rel : value_rel;
-}
-
-bool
 DiffResult::hasRegression() const
 {
     return regressionCount() > 0;
@@ -534,87 +525,76 @@ add(DiffResult &diff, Severity severity, std::string subject,
         {severity, std::move(subject), std::move(message)});
 }
 
-/** |cur - base| within rel * max(|base|, scale-floor)? */
-bool
-withinRel(double base, double cur, double rel, double floor_scale)
+/** Divergences a stream diff lists before summarizing the rest. */
+constexpr std::size_t kMaxReported = 5;
+
+/** "[a, b, ...]" for a finding's message. */
+std::string
+bucketList(const std::vector<double> &values)
 {
-    const double allowed = rel * std::max(std::fabs(base), floor_scale);
-    return std::fabs(cur - base) <= allowed;
+    std::string out = "[";
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        out += (i > 0 ? ", " : "") + num(values[i]);
+    }
+    return out + "]";
 }
 
 void
 diffOne(DiffResult &diff, const MetricReading &base,
-        const MetricReading &cur, const Tolerances &tol)
+        const MetricReading &cur)
 {
     if (base.type != cur.type) {
         add(diff, Severity::Regression, base.name,
             "type changed: " + base.type + " -> " + cur.type);
         return;
     }
-    const double rel = tol.relFor(base);
+    if (base.count != cur.count) {
+        add(diff, Severity::Regression, base.name,
+            base.type + " count changed: " + std::to_string(base.count) +
+                " -> " + std::to_string(cur.count));
+        return;
+    }
     if (base.type == "timer") {
-        if (base.sum < tol.timer_floor_s && cur.sum < tol.timer_floor_s) {
-            return; // both below the noise floor
-        }
-        const double allowed =
-            std::max(base.sum * (1.0 + rel), tol.timer_floor_s);
-        if (cur.sum > allowed) {
+        if (cur.sum > std::max(base.sum * kTimerSlowdown, kTimerFloorS)) {
             add(diff, Severity::Regression, base.name,
                 "timer slowed: " + num(base.sum) + " s -> " + num(cur.sum) +
                     " s (" + percentDelta(base.sum, cur.sum) +
-                    ", tolerance " + percentDelta(1.0, 1.0 + rel) + ")");
-        } else if (cur.sum * (1.0 + rel) < base.sum) {
-            add(diff, Severity::Info, base.name,
-                "timer improved: " + num(base.sum) + " s -> " +
-                    num(cur.sum) + " s (" +
-                    percentDelta(base.sum, cur.sum) + ")");
+                    ", bound " + num(kTimerSlowdown) + "x and " +
+                    num(kTimerFloorS) + " s)");
         }
         return;
     }
-    if (base.type == "counter" || base.type == "histogram") {
-        if (!withinRel(static_cast<double>(base.count),
-                       static_cast<double>(cur.count), rel, 1.0)) {
-            add(diff, Severity::Regression, base.name,
-                base.type + " count changed: " +
-                    std::to_string(base.count) + " -> " +
-                    std::to_string(cur.count) + " (" +
-                    percentDelta(static_cast<double>(base.count),
-                                 static_cast<double>(cur.count)) +
-                    ")");
-            return;
-        }
+    if (base.sum != cur.sum) {
+        add(diff, Severity::Regression, base.name,
+            base.type + " value changed: " + num(base.sum) + " -> " +
+                num(cur.sum) + " (" + percentDelta(base.sum, cur.sum) + ")");
+        return;
     }
-    if (base.type == "gauge" || base.type == "histogram") {
-        if (!withinRel(base.sum, cur.sum, rel, 1e-12)) {
-            add(diff, Severity::Regression, base.name,
-                base.type + " value changed: " + num(base.sum) + " -> " +
-                    num(cur.sum) + " (" + percentDelta(base.sum, cur.sum) +
-                    ")");
-        }
+    if (base.edges != cur.edges || base.buckets != cur.buckets) {
+        add(diff, Severity::Regression, base.name,
+            "histogram buckets changed: " + bucketList(base.buckets) +
+                " -> " + bucketList(cur.buckets) +
+                (base.edges != cur.edges ? " (edges changed)" : ""));
     }
 }
 
 } // namespace
 
 DiffResult
-diffSnapshots(const Snapshot &base, const Snapshot &cur,
-              const Tolerances &tol)
+diffSnapshots(const Snapshot &base, const Snapshot &cur)
 {
     DiffResult diff;
     for (const MetricReading &m : base.metrics) {
-        if (tol.ignored(m.name)) {
-            continue;
-        }
         const MetricReading *other = cur.find(m.name);
         if (other == nullptr) {
             add(diff, Severity::Regression, m.name,
                 "present in baseline, missing from current run");
             continue;
         }
-        diffOne(diff, m, *other, tol);
+        diffOne(diff, m, *other);
     }
     for (const MetricReading &m : cur.metrics) {
-        if (!tol.ignored(m.name) && base.find(m.name) == nullptr) {
+        if (base.find(m.name) == nullptr) {
             add(diff, Severity::Info, m.name,
                 "new metric (absent from baseline)");
         }
@@ -623,8 +603,7 @@ diffSnapshots(const Snapshot &base, const Snapshot &cur,
 }
 
 DiffResult
-diffJournals(const JournalDoc &base, const JournalDoc &cur,
-             std::size_t max_reported)
+diffJournals(const JournalDoc &base, const JournalDoc &cur)
 {
     DiffResult diff;
     if (base.events.size() != cur.events.size()) {
@@ -644,7 +623,7 @@ diffJournals(const JournalDoc &base, const JournalDoc &cur,
         if (base.events[i].canonical == cur.events[i].canonical) {
             continue;
         }
-        if (reported < max_reported) {
+        if (reported < kMaxReported) {
             add(diff, Severity::Regression,
                 "event #" + std::to_string(i) + " (" + base.events[i].type +
                     ")",
@@ -653,17 +632,16 @@ diffJournals(const JournalDoc &base, const JournalDoc &cur,
         }
         ++reported;
     }
-    if (reported > max_reported) {
+    if (reported > kMaxReported) {
         add(diff, Severity::Regression, "journal",
-            std::to_string(reported - max_reported) +
+            std::to_string(reported - kMaxReported) +
                 " further event divergence(s) not listed");
     }
     return diff;
 }
 
 DiffResult
-diffAlerts(const AlertsDoc &base, const AlertsDoc &cur,
-           std::size_t max_reported)
+diffAlerts(const AlertsDoc &base, const AlertsDoc &cur)
 {
     DiffResult diff;
     if (base.alerts.size() != cur.alerts.size()) {
@@ -682,7 +660,7 @@ diffAlerts(const AlertsDoc &base, const AlertsDoc &cur,
         if (base.alerts[i].canonical == cur.alerts[i].canonical) {
             continue;
         }
-        if (reported < max_reported) {
+        if (reported < kMaxReported) {
             add(diff, Severity::Regression,
                 "alert #" + std::to_string(i) + " (" +
                     base.alerts[i].rule + ")",
@@ -691,9 +669,9 @@ diffAlerts(const AlertsDoc &base, const AlertsDoc &cur,
         }
         ++reported;
     }
-    if (reported > max_reported) {
+    if (reported > kMaxReported) {
         add(diff, Severity::Regression, "alerts",
-            std::to_string(reported - max_reported) +
+            std::to_string(reported - kMaxReported) +
                 " further alert divergence(s) not listed");
     }
     return diff;
@@ -716,8 +694,7 @@ findBin(const SeriesReading &series, std::int64_t index)
 } // namespace
 
 DiffResult
-diffTimeSeries(const TimeSeriesDoc &base, const TimeSeriesDoc &cur,
-               double bin_rel_tol, std::size_t max_reported)
+diffTimeSeries(const TimeSeriesDoc &base, const TimeSeriesDoc &cur)
 {
     DiffResult diff;
     for (const SeriesReading &series : base.series) {
@@ -742,7 +719,7 @@ diffTimeSeries(const TimeSeriesDoc &base, const TimeSeriesDoc &cur,
         std::size_t reported = 0;
         const auto offend = [&](std::int64_t bin_index,
                                 const std::string &message) {
-            if (reported < max_reported) {
+            if (reported < kMaxReported) {
                 add(diff, Severity::Regression,
                     series.name + "[bin " + std::to_string(bin_index) +
                         "]",
@@ -764,7 +741,7 @@ diffTimeSeries(const TimeSeriesDoc &base, const TimeSeriesDoc &cur,
             }
             const auto off_value = [&](const char *what, double b,
                                        double c) {
-                if (!withinRel(b, c, bin_rel_tol, 1e-12)) {
+                if (b != c) {
                     offend(bin.index, std::string(what) + " changed: " +
                                           num(b) + " -> " + num(c) +
                                           " (" + percentDelta(b, c) +
@@ -779,9 +756,9 @@ diffTimeSeries(const TimeSeriesDoc &base, const TimeSeriesDoc &cur,
                 continue;
             }
         }
-        if (reported > max_reported) {
+        if (reported > kMaxReported) {
             add(diff, Severity::Regression, series.name,
-                std::to_string(reported - max_reported) +
+                std::to_string(reported - kMaxReported) +
                     " further bin divergence(s) not listed");
         }
     }
@@ -817,7 +794,7 @@ writeMarkdown(const DiffResult &diff, const std::string &base_label,
         os << "**Verdict: OK** — no regressions; "
            << diff.findings.size() << " informational finding(s).\n\n";
     } else {
-        os << "**Verdict: OK** — no differences beyond tolerance.\n\n";
+        os << "**Verdict: OK** — no regressions.\n\n";
     }
     if (diff.findings.empty()) {
         return;
@@ -1002,8 +979,7 @@ rankDeltas(std::vector<ProfileDeltaRow> &rows,
 } // namespace
 
 ProfileDiffResult
-diffProfiles(const ProfileDoc &base, const ProfileDoc &cur,
-             const ProfileTolerances &tol)
+diffProfiles(const ProfileDoc &base, const ProfileDoc &cur)
 {
     ProfileDiffResult out;
 
@@ -1052,42 +1028,8 @@ diffProfiles(const ProfileDoc &base, const ProfileDoc &cur,
                 static_cast<std::int64_t>(span.cycles);
         } else {
             row.delta_cycles = -static_cast<std::int64_t>(span.cycles);
-            add(out.findings, Severity::Regression, span.name,
-                "span row missing from current run (instrumentation "
-                "lost?)");
         }
         row.delta_s = row.cur_s - row.base_s;
-        if (other != nullptr) {
-            if (!withinRel(static_cast<double>(span.calls),
-                           static_cast<double>(other->calls),
-                           tol.calls_rel, 1.0)) {
-                add(out.findings, Severity::Regression, span.name,
-                    "span calls changed: " + std::to_string(span.calls) +
-                        " -> " + std::to_string(other->calls) + " (" +
-                        percentDelta(static_cast<double>(span.calls),
-                                     static_cast<double>(other->calls)) +
-                        ")");
-            }
-            const bool above_floor = row.base_s >= tol.cost_floor_s ||
-                                     row.cur_s >= tol.cost_floor_s;
-            const double allowed =
-                std::max(row.base_s * (1.0 + tol.cost_rel),
-                         tol.cost_floor_s);
-            if (above_floor && row.cur_s > allowed) {
-                add(out.findings, Severity::Regression, span.name,
-                    "span cost grew: " + num(row.base_s) + " s -> " +
-                        num(row.cur_s) + " s (" +
-                        percentDelta(row.base_s, row.cur_s) +
-                        ", tolerance " +
-                        percentDelta(1.0, 1.0 + tol.cost_rel) + ")");
-            } else if (above_floor &&
-                       row.cur_s * (1.0 + tol.cost_rel) < row.base_s) {
-                add(out.findings, Severity::Info, span.name,
-                    "span cost improved: " + num(row.base_s) + " s -> " +
-                        num(row.cur_s) + " s (" +
-                        percentDelta(row.base_s, row.cur_s) + ")");
-            }
-        }
         out.spans.push_back(std::move(row));
     }
     for (const ProfileSpanRow &span : cur.spans) {
@@ -1100,8 +1042,6 @@ diffProfiles(const ProfileDoc &base, const ProfileDoc &cur,
         row.cur_calls = span.calls;
         row.delta_s = row.cur_s;
         row.delta_cycles = static_cast<std::int64_t>(span.cycles);
-        add(out.findings, Severity::Info, span.name,
-            "new span row (not in baseline)");
         out.spans.push_back(std::move(row));
     }
     if (out.spans_use_cycles) {
@@ -1112,18 +1052,12 @@ diffProfiles(const ProfileDoc &base, const ProfileDoc &cur,
         rankDeltas(out.spans,
                    [](const ProfileDeltaRow &r) { return r.delta_s; });
     }
-    if (base.span_source != cur.span_source) {
-        add(out.findings, Severity::Info, "spans.source",
-            "counter source changed: " + base.span_source + " -> " +
-                cur.span_source +
-                " (cycle columns are not comparable)");
-    }
     return out;
 }
 
 void
 writeProfileMarkdown(const ProfileDoc &doc, const std::string &label,
-                     std::size_t top, std::ostream &os)
+                     std::ostream &os)
 {
     os << "# kodan-report: profile `" << label << "`\n\n"
        << "- samples: " << doc.samples << " (period " << doc.period_us
@@ -1139,7 +1073,7 @@ writeProfileMarkdown(const ProfileDoc &doc, const std::string &label,
             doc.samples > 0 ? static_cast<double>(doc.samples) : 1.0;
         std::size_t shown = 0;
         for (const ProfileFrame &frame : doc.frames) {
-            if (shown++ >= top) {
+            if (shown++ >= kTopRows) {
                 break;
             }
             os << "| `" << frame.name << "` | " << frame.self << " | "
@@ -1171,7 +1105,7 @@ writeProfileMarkdown(const ProfileDoc &doc, const std::string &label,
         };
         std::size_t shown = 0;
         for (const ProfileSpanRow &row : rows) {
-            if (shown++ >= top) {
+            if (shown++ >= kTopRows) {
                 break;
             }
             os << "| `" << row.name << "` | " << row.calls << " | "
@@ -1195,25 +1129,17 @@ writeProfileMarkdown(const ProfileDoc &doc, const std::string &label,
 void
 writeProfileDiffMarkdown(const ProfileDiffResult &diff,
                          const std::string &base_label,
-                         const std::string &cur_label, std::size_t top,
-                         std::ostream &os)
+                         const std::string &cur_label, std::ostream &os)
 {
     os << "# kodan-report: profile `" << base_label << "` vs `"
-       << cur_label << "`\n\n";
-    const std::size_t regressions = diff.findings.regressionCount();
-    if (regressions > 0) {
-        os << "**Verdict: REGRESSION** — " << regressions
-           << " regression finding(s).\n";
-    } else {
-        os << "**Verdict: OK** — no findings beyond tolerance.\n";
-    }
+       << cur_label << "`\n";
     if (!diff.frames.empty()) {
         os << "\n## Frames by self-time regression\n\n"
            << "| frame | base s | cur s | delta s |\n"
            << "| --- | --- | --- | --- |\n";
         std::size_t shown = 0;
         for (const ProfileDeltaRow &row : diff.frames) {
-            if (shown++ >= top) {
+            if (shown++ >= kTopRows) {
                 break;
             }
             os << "| `" << row.name << "` | " << shortNum(row.base_s)
@@ -1230,7 +1156,7 @@ writeProfileDiffMarkdown(const ProfileDiffResult &diff,
            << "| --- | --- | --- | --- | --- | --- | --- |\n";
         std::size_t shown = 0;
         for (const ProfileDeltaRow &row : diff.spans) {
-            if (shown++ >= top) {
+            if (shown++ >= kTopRows) {
                 break;
             }
             os << "| `" << row.name << "` | " << shortNum(row.base_s)
@@ -1243,18 +1169,6 @@ writeProfileDiffMarkdown(const ProfileDiffResult &diff,
                 os << "n/a";
             }
             os << " |\n";
-        }
-    }
-    if (!diff.findings.findings.empty()) {
-        os << "\n| severity | subject | detail |\n"
-           << "| --- | --- | --- |\n";
-        for (const Finding &finding : diff.findings.findings) {
-            os << "| "
-               << (finding.severity == Severity::Regression
-                       ? "REGRESSION"
-                       : "info")
-               << " | `" << finding.subject << "` | " << finding.message
-               << " |\n";
         }
     }
 }

@@ -2,7 +2,13 @@
  * @file
  * kodan-report engine: load metrics snapshots (writeMetricsJson output)
  * and flight-recorder journals (writeJournalJsonl output), diff two
- * runs with configurable tolerances, and emit a markdown summary.
+ * runs under one fixed regression rule, and emit a markdown summary.
+ *
+ * The rule: every deterministic reading must be bit-equal — counter and
+ * gauge values, histogram count, sum, edges and buckets, timer call
+ * counts, journal events, alert streams and time-series bins. Timer
+ * seconds measure the machine, not the code, so they regress only when
+ * they exceed both kTimerSlowdown times the baseline and kTimerFloorS.
  *
  * Lives in the kodan_telemetry library (not the CLI) so the gtest
  * targets exercise the exact code the `kodan-report` binary ships.
@@ -11,6 +17,7 @@
 #ifndef KODAN_TELEMETRY_REPORT_HPP
 #define KODAN_TELEMETRY_REPORT_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -21,6 +28,13 @@
 
 namespace kodan::telemetry::report {
 
+/** A timer's seconds regress only above this multiple of the baseline. */
+constexpr double kTimerSlowdown = 101.0;
+/** ...and only above this many seconds (below it is scheduler noise). */
+constexpr double kTimerFloorS = 1e-3;
+/** Rows a summary table shows (profile frames/spans, health alerts). */
+constexpr std::size_t kTopRows = 20;
+
 /** One metric parsed back from a snapshot JSON. */
 struct MetricReading
 {
@@ -28,7 +42,8 @@ struct MetricReading
     std::string type;      ///< counter | gauge | histogram | timer
     std::int64_t count = 0; ///< counter value / histogram+timer count
     double sum = 0.0;       ///< gauge value / histogram sum / timer total_s
-    double max = 0.0;       ///< timer max_s (0 otherwise)
+    std::vector<double> edges;   ///< histogram bucket upper edges
+    std::vector<double> buckets; ///< histogram bucket counts
 };
 
 /** A parsed metrics snapshot, metrics sorted by name. */
@@ -208,26 +223,6 @@ bool parseProfile(const std::string &text, ProfileDoc &out,
 bool loadProfile(const std::string &path, ProfileDoc &out,
                  std::string *error = nullptr);
 
-/**
- * Diff tolerances. Relative tolerances compare
- * |cur - base| <= tol * max(|base|, floor-ish epsilon); a timer only
- * regresses when it got *slower* beyond tolerance AND both readings
- * clear timer_floor_s (sub-floor timers are scheduler noise).
- */
-struct Tolerances
-{
-    double timer_rel = 0.5;    ///< timers: allowed relative slowdown
-    double value_rel = 0.0;    ///< counters/gauges/histograms: rel delta
-    double timer_floor_s = 1e-3; ///< ignore timers below this many seconds
-    /** Exact-name overrides of the relative tolerance. */
-    std::vector<std::pair<std::string, double>> overrides;
-    /** Metric-name prefixes excluded from the diff entirely. */
-    std::vector<std::string> ignore_prefixes;
-
-    bool ignored(const std::string &name) const;
-    double relFor(const MetricReading &metric) const;
-};
-
 /** Diff finding severity: Info never fails the run, Regression does. */
 enum class Severity
 {
@@ -250,40 +245,33 @@ struct DiffResult
     std::size_t regressionCount() const;
 };
 
-/** Compare two metrics snapshots under @p tol. */
-DiffResult diffSnapshots(const Snapshot &base, const Snapshot &cur,
-                         const Tolerances &tol);
+/**
+ * Compare two metrics snapshots under the regression rule (file
+ * comment). A metric missing from the current run is a Regression; a
+ * new one is Info.
+ */
+DiffResult diffSnapshots(const Snapshot &base, const Snapshot &cur);
 
 /**
  * Compare two journal event streams. Any divergence (count mismatch,
  * reordered/changed/missing event) is a Regression naming the first
- * differing events; at most @p max_reported divergences are listed.
+ * differing events.
  */
-DiffResult diffJournals(const JournalDoc &base, const JournalDoc &cur,
-                        std::size_t max_reported = 5);
+DiffResult diffJournals(const JournalDoc &base, const JournalDoc &cur);
 
 /**
  * Compare two time-series documents bin by bin. A series or bin present
- * in the baseline but missing from the current run, a bin-width or
- * per-bin count mismatch, or a per-bin sum/min/max outside
- * |cur - base| <= bin_rel_tol * max(|base|, 1e-12) is a Regression
- * (the default tolerance of 0 demands bit-equal values — the series
- * are deterministic). At most @p max_reported offending bins are
- * listed per series.
+ * in the baseline but missing from the current run, or any change of
+ * bin width, per-bin count, sum, min or max is a Regression.
  */
 DiffResult diffTimeSeries(const TimeSeriesDoc &base,
-                          const TimeSeriesDoc &cur,
-                          double bin_rel_tol = 0.0,
-                          std::size_t max_reported = 5);
+                          const TimeSeriesDoc &cur);
 
 /**
- * Compare two alert exports. The alert stream is deterministic, so any
- * divergence — count mismatch, or a changed/missing/new alert by
- * canonical form — is a Regression; at most @p max_reported divergences
- * are listed.
+ * Compare two alert exports. Any divergence — count mismatch, or a
+ * changed/missing/new alert by canonical form — is a Regression.
  */
-DiffResult diffAlerts(const AlertsDoc &base, const AlertsDoc &cur,
-                      std::size_t max_reported = 5);
+DiffResult diffAlerts(const AlertsDoc &base, const AlertsDoc &cur);
 
 /** Merge b's findings after a's. */
 DiffResult mergeDiffs(DiffResult a, const DiffResult &b);
@@ -291,19 +279,6 @@ DiffResult mergeDiffs(DiffResult a, const DiffResult &b);
 /* ------------------------------------------------------------------ */
 /* Profile diff                                                        */
 /* ------------------------------------------------------------------ */
-
-/**
- * Profile-diff tolerances. Span call counts are deterministic
- * (calls_rel defaults to exact); span costs are wall/cycle noise-prone,
- * so cost_rel is wide by default and spans whose cost stays under
- * cost_floor_s on both sides never regress.
- */
-struct ProfileTolerances
-{
-    double calls_rel = 0.0;    ///< span calls: allowed relative delta
-    double cost_rel = 0.5;     ///< span cost: allowed relative slowdown
-    double cost_floor_s = 1e-3; ///< ignore spans cheaper than this
-};
 
 /** One ranked row of a profile diff. */
 struct ProfileDeltaRow
@@ -320,35 +295,31 @@ struct ProfileDeltaRow
 /**
  * A profile diff: sampled frames ranked by self-time regression and
  * span rows ranked by cost regression (cycles when both runs read
- * perf_event, task-clock otherwise), plus tolerance findings for the
- * regression gate (span calls drift, span cost slowdown, span rows
- * missing from the current run).
+ * perf_event, task-clock otherwise). A ranking for attribution, not a
+ * gate: span call counts are gated as timer counts by diffSnapshots.
  */
 struct ProfileDiffResult
 {
     std::vector<ProfileDeltaRow> frames; ///< delta_s descending
     std::vector<ProfileDeltaRow> spans;  ///< delta_s descending
     bool spans_use_cycles = false; ///< span ranking used cycle counts
-    DiffResult findings;
 };
 
-/** Compare two profiles under @p tol. */
+/** Rank the frame and span cost deltas from @p base to @p cur. */
 ProfileDiffResult diffProfiles(const ProfileDoc &base,
-                               const ProfileDoc &cur,
-                               const ProfileTolerances &tol);
+                               const ProfileDoc &cur);
 
-/** Markdown profile summary: header counts, top-K self-time frames,
- *  span-counter table (top K rows by task-clock). */
+/** Markdown profile summary: header counts, the kTopRows self-time
+ *  frames, span-counter table (kTopRows rows by task-clock). */
 void writeProfileMarkdown(const ProfileDoc &doc,
-                          const std::string &label, std::size_t top,
-                          std::ostream &os);
+                          const std::string &label, std::ostream &os);
 
-/** Markdown profile-diff summary: top-K regressed frames and spans
- *  plus the findings table. */
+/** Markdown profile-diff summary: the kTopRows most regressed frames
+ *  and spans. */
 void writeProfileDiffMarkdown(const ProfileDiffResult &diff,
                               const std::string &base_label,
                               const std::string &cur_label,
-                              std::size_t top, std::ostream &os);
+                              std::ostream &os);
 
 /**
  * Markdown summary: verdict headline then a findings table naming each

@@ -5,13 +5,11 @@
  * tables marked `source: "rusage"`; span counters accumulate exactly
  * across threads; the sampling profiler produces parseable folded
  * stacks; sampled frames symbolize to the right function, leaf pcs
- * included; and the profile diff ranks a pessimized kernel first and
- * gates on call-count/cost drift.
+ * included; and the profile diff ranks a pessimized kernel first.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cctype>
@@ -248,73 +246,14 @@ syntheticProfile(std::uint64_t gemm_ns)
     return doc;
 }
 
-TEST(ProfDiff, RanksPessimizedKernelFirstAndFlagsIt)
+TEST(ProfDiff, RanksPessimizedKernelFirst)
 {
     const report::ProfileDoc base = syntheticProfile(140000000);
     const report::ProfileDoc cur = syntheticProfile(290000000);
-    const report::ProfileDiffResult diff =
-        report::diffProfiles(base, cur, report::ProfileTolerances{});
+    const report::ProfileDiffResult diff = report::diffProfiles(base, cur);
     ASSERT_FALSE(diff.spans.empty());
     EXPECT_EQ(diff.spans.front().name, "ml.kernels.gemm");
     EXPECT_FALSE(diff.spans_use_cycles); // rusage runs rank by task-clock
-    ASSERT_TRUE(diff.findings.hasRegression());
-    EXPECT_EQ(diff.findings.findings.front().subject, "ml.kernels.gemm");
-}
-
-TEST(ProfDiff, ExactCallCountsGateDeterminism)
-{
-    const report::ProfileDoc base = syntheticProfile(140000000);
-    report::ProfileDoc cur = syntheticProfile(140000000);
-    cur.spans[0].calls = 61; // one extra kernel invocation
-    const report::ProfileDiffResult diff =
-        report::diffProfiles(base, cur, report::ProfileTolerances{});
-    ASSERT_TRUE(diff.findings.hasRegression());
-    EXPECT_NE(diff.findings.findings.front().message.find("calls"),
-              std::string::npos);
-}
-
-TEST(ProfDiff, MissingSpanRowIsARegressionNewRowIsNot)
-{
-    const report::ProfileDoc base = syntheticProfile(140000000);
-    report::ProfileDoc cur = syntheticProfile(140000000);
-    cur.spans.erase(cur.spans.begin()); // ml.kernels.gemm vanished
-    cur.spans.push_back(spanRow("ml.kernels.gemv", 10, 1000000));
-    std::sort(cur.spans.begin(), cur.spans.end(),
-              [](const report::ProfileSpanRow &a,
-                 const report::ProfileSpanRow &b) {
-                  return a.name < b.name;
-              });
-    const report::ProfileDiffResult diff =
-        report::diffProfiles(base, cur, report::ProfileTolerances{});
-    EXPECT_EQ(diff.findings.regressionCount(), 1u);
-    bool saw_missing = false;
-    bool saw_new_info = false;
-    for (const report::Finding &finding : diff.findings.findings) {
-        if (finding.subject == "ml.kernels.gemm" &&
-            finding.severity == report::Severity::Regression) {
-            saw_missing = true;
-        }
-        if (finding.subject == "ml.kernels.gemv" &&
-            finding.severity == report::Severity::Info) {
-            saw_new_info = true;
-        }
-    }
-    EXPECT_TRUE(saw_missing);
-    EXPECT_TRUE(saw_new_info);
-}
-
-TEST(ProfDiff, WideCostToleranceAbsorbsMachineDrift)
-{
-    const report::ProfileDoc base = syntheticProfile(140000000);
-    const report::ProfileDoc cur = syntheticProfile(290000000);
-    report::ProfileTolerances tol;
-    tol.cost_rel = 100.0; // the cross-machine baseline setting
-    const report::ProfileDiffResult diff =
-        report::diffProfiles(base, cur, tol);
-    EXPECT_FALSE(diff.findings.hasRegression());
-    // Ranking still surfaces the slowdown even when tolerated.
-    ASSERT_FALSE(diff.spans.empty());
-    EXPECT_EQ(diff.spans.front().name, "ml.kernels.gemm");
 }
 
 TEST(ProfSymbols, LeafPcAtFunctionEntryNamesThatFunction)

@@ -1,14 +1,18 @@
 /**
  * @file
- * kodan-report engine suite: snapshot/journal parsing, tolerance-driven
- * diffing (identical runs pass, a 2x timer regression and a flipped
- * elision verdict fail and are named in the markdown).
+ * kodan-report engine suite: snapshot/journal parsing and the one
+ * regression rule (identical runs pass; any drift of a deterministic
+ * reading — counter, timer call count, histogram bucket, journal event —
+ * fails, as does a timer past the slowdown bound; offenders are named in
+ * the markdown).
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "telemetry/report.hpp"
 
@@ -65,79 +69,117 @@ TEST(Report, ParsesSnapshotReadings)
     EXPECT_EQ(counter->count, 120);
     const MetricReading *timer = snapshot.find("runtime.frame.process");
     ASSERT_NE(timer, nullptr);
+    EXPECT_EQ(timer->count, 120);
     EXPECT_EQ(timer->sum, 0.064);
-    EXPECT_EQ(timer->max, 0.001);
+    const MetricReading *histogram =
+        snapshot.find("runtime.frame.compute_time_s");
+    ASSERT_NE(histogram, nullptr);
+    EXPECT_EQ(histogram->edges, (std::vector<double>{1.0, 10.0}));
+    EXPECT_EQ(histogram->buckets, (std::vector<double>{0, 60, 60}));
     EXPECT_EQ(snapshot.find("no.such.metric"), nullptr);
 }
 
 TEST(Report, IdenticalSnapshotsProduceNoFindings)
 {
     const Snapshot base = snapshotFromText(kBaseSnapshot);
-    const DiffResult diff = diffSnapshots(base, base, Tolerances{});
+    const DiffResult diff = diffSnapshots(base, base);
     EXPECT_FALSE(diff.hasRegression());
     EXPECT_TRUE(diff.findings.empty());
 }
 
-TEST(Report, DoubledTimerIsARegressionNamingTheMetric)
+/** @p base with every timer's seconds scaled by @p factor. */
+Snapshot
+scaleTimers(const Snapshot &base, double factor)
 {
-    const Snapshot base = snapshotFromText(kBaseSnapshot);
-    Snapshot slow = base;
-    for (MetricReading &m : slow.metrics) {
+    Snapshot out = base;
+    for (MetricReading &m : out.metrics) {
         if (m.type == "timer") {
-            m.sum *= 2.0;
+            m.sum *= factor;
         }
     }
-    const DiffResult diff = diffSnapshots(base, slow, Tolerances{});
+    return out;
+}
+
+TEST(Report, TimerPastTheSlowdownBoundIsARegressionNamingTheMetric)
+{
+    const Snapshot base = snapshotFromText(kBaseSnapshot);
+    const DiffResult diff = diffSnapshots(base, scaleTimers(base, 200.0));
     ASSERT_TRUE(diff.hasRegression());
     ASSERT_EQ(diff.regressionCount(), 1u);
     EXPECT_EQ(diff.findings[0].subject, "runtime.frame.process");
     EXPECT_NE(diff.findings[0].message.find("slowed"), std::string::npos);
 }
 
-TEST(Report, TimerWithinToleranceOrBelowFloorPasses)
+TEST(Report, TimerWithinTheBoundOrBelowTheFloorPasses)
 {
     const Snapshot base = snapshotFromText(kBaseSnapshot);
-    Snapshot slightly_slow = base;
-    for (MetricReading &m : slightly_slow.metrics) {
-        if (m.type == "timer") {
-            m.sum *= 1.4; // default tolerance is +50%
-        }
-    }
-    EXPECT_FALSE(
-        diffSnapshots(base, slightly_slow, Tolerances{}).hasRegression());
+    // Exactly kTimerSlowdown times the baseline is still within bound.
+    EXPECT_FALSE(diffSnapshots(base, scaleTimers(base, kTimerSlowdown))
+                     .hasRegression());
 
-    // Sub-floor timers never regress, even at 10x.
-    Tolerances floor_tol;
-    floor_tol.timer_floor_s = 1.0;
-    Snapshot ten_x = base;
-    for (MetricReading &m : ten_x.metrics) {
+    // A timer that stays under kTimerFloorS never regresses, even far
+    // past the slowdown bound.
+    Snapshot tiny = base;
+    for (MetricReading &m : tiny.metrics) {
         if (m.type == "timer") {
-            m.sum *= 10.0;
+            m.sum = kTimerFloorS / 1000.0;
         }
     }
-    EXPECT_FALSE(diffSnapshots(base, ten_x, floor_tol).hasRegression());
+    const Snapshot tiny_slow = scaleTimers(tiny, 500.0);
+    EXPECT_GT(tiny_slow.find("runtime.frame.process")->sum,
+              kTimerSlowdown * tiny.find("runtime.frame.process")->sum);
+    EXPECT_FALSE(diffSnapshots(tiny, tiny_slow).hasRegression());
 }
 
-TEST(Report, CounterDriftIsARegressionUnlessTolerated)
+TEST(Report, TimerCallCountChangeIsARegression)
 {
     const Snapshot base = snapshotFromText(kBaseSnapshot);
-    Snapshot drifted = base;
-    for (MetricReading &m : drifted.metrics) {
+    Snapshot cur = base;
+    for (MetricReading &m : cur.metrics) {
+        if (m.type == "timer") {
+            m.count += 1; // one extra call, same total seconds
+        }
+    }
+    const DiffResult diff = diffSnapshots(base, cur);
+    ASSERT_EQ(diff.regressionCount(), 1u);
+    EXPECT_EQ(diff.findings[0].subject, "runtime.frame.process");
+    EXPECT_NE(diff.findings[0].message.find("count"), std::string::npos);
+}
+
+TEST(Report, CounterOrGaugeDriftIsARegression)
+{
+    const Snapshot base = snapshotFromText(kBaseSnapshot);
+    Snapshot counter = base;
+    Snapshot gauge = base;
+    for (MetricReading &m : counter.metrics) {
         if (m.name == "runtime.frames.processed") {
             m.count += 1;
         }
     }
-    // Default value tolerance is exact.
-    EXPECT_TRUE(diffSnapshots(base, drifted, Tolerances{}).hasRegression());
+    for (MetricReading &m : gauge.metrics) {
+        if (m.name == "ground.downlink.bits_queued") {
+            m.sum = std::nextafter(m.sum, 0.0); // one ulp
+        }
+    }
+    EXPECT_EQ(diffSnapshots(base, counter).regressionCount(), 1u);
+    EXPECT_EQ(diffSnapshots(base, gauge).regressionCount(), 1u);
+}
 
-    Tolerances loose;
-    loose.overrides.emplace_back("runtime.frames.processed", 0.1);
-    EXPECT_FALSE(diffSnapshots(base, drifted, loose).hasRegression());
-
-    Tolerances ignoring;
-    ignoring.ignore_prefixes.push_back("runtime.");
-    EXPECT_FALSE(
-        diffSnapshots(base, drifted, ignoring).hasRegression());
+TEST(Report, HistogramBucketShiftIsARegression)
+{
+    const Snapshot base = snapshotFromText(kBaseSnapshot);
+    Snapshot shifted = base;
+    for (MetricReading &m : shifted.metrics) {
+        if (m.type == "histogram") {
+            // One sample moves up a bucket; count and sum are unchanged.
+            m.buckets[1] -= 1;
+            m.buckets[2] += 1;
+        }
+    }
+    const DiffResult diff = diffSnapshots(base, shifted);
+    ASSERT_EQ(diff.regressionCount(), 1u);
+    EXPECT_EQ(diff.findings[0].subject, "runtime.frame.compute_time_s");
+    EXPECT_NE(diff.findings[0].message.find("buckets"), std::string::npos);
 }
 
 TEST(Report, MissingMetricIsARegressionNewMetricIsInfo)
@@ -145,12 +187,12 @@ TEST(Report, MissingMetricIsARegressionNewMetricIsInfo)
     const Snapshot base = snapshotFromText(kBaseSnapshot);
     Snapshot cur = base;
     cur.metrics.erase(cur.metrics.begin()); // drop (sorted) first metric
-    const DiffResult diff = diffSnapshots(base, cur, Tolerances{});
+    const DiffResult diff = diffSnapshots(base, cur);
     ASSERT_EQ(diff.regressionCount(), 1u);
     EXPECT_NE(diff.findings[0].message.find("missing"),
               std::string::npos);
 
-    const DiffResult reverse = diffSnapshots(cur, base, Tolerances{});
+    const DiffResult reverse = diffSnapshots(cur, base);
     EXPECT_FALSE(reverse.hasRegression());
     ASSERT_EQ(reverse.findings.size(), 1u);
     EXPECT_NE(reverse.findings[0].message.find("new metric"),
@@ -194,22 +236,15 @@ TEST(Report, JournalEventCountMismatchIsARegression)
 TEST(Report, MarkdownNamesVerdictAndOffenders)
 {
     const Snapshot base = snapshotFromText(kBaseSnapshot);
-    Snapshot slow = base;
-    for (MetricReading &m : slow.metrics) {
-        if (m.type == "timer") {
-            m.sum *= 2.0;
-        }
-    }
     std::ostringstream regressed;
-    writeMarkdown(diffSnapshots(base, slow, Tolerances{}), "a", "b",
+    writeMarkdown(diffSnapshots(base, scaleTimers(base, 200.0)), "a", "b",
                   regressed);
     EXPECT_NE(regressed.str().find("REGRESSION"), std::string::npos);
     EXPECT_NE(regressed.str().find("runtime.frame.process"),
               std::string::npos);
 
     std::ostringstream clean;
-    writeMarkdown(diffSnapshots(base, base, Tolerances{}), "a", "b",
-                  clean);
+    writeMarkdown(diffSnapshots(base, base), "a", "b", clean);
     EXPECT_NE(clean.str().find("Verdict: OK"), std::string::npos);
 }
 

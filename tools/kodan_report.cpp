@@ -7,16 +7,13 @@
  *   kodan-report diff <base.json> <current.json>
  *       [--journal <base.jsonl> <current.jsonl>]
  *       [--timeseries <base.timeseries.json> <current.timeseries.json>]
- *       [--tol-timer F] [--tol-value F] [--tol-bin F]
- *       [--timer-floor SECONDS]
- *       [--tol NAME=F]... [--ignore PREFIX]...
- *       [--markdown PATH]
  *     Compares two metrics snapshots (writeMetricsJson output) and
  *     optionally two flight-recorder journals and/or two sim-time
- *     series documents (--tol-bin sets the per-bin relative tolerance,
- *     default 0 = bit-equal). Prints the markdown summary (to stdout,
- *     or PATH with --markdown). Exit status: 0 when no regression, 1 on
- *     regression, 2 on usage/parse errors.
+ *     series documents under report.hpp's one regression rule: every
+ *     deterministic reading (timer call counts included) bit-equal,
+ *     timer seconds within 101x the baseline or under 1 ms. Prints the
+ *     markdown summary to stdout. Exit status: 0 when no regression, 1
+ *     on regression, 2 on usage/parse errors.
  *
  *   kodan-report lineage <spans.jsonl>
  *     Assembles per-frame lineage spans (writeLineageJsonl output) into
@@ -24,27 +21,22 @@
  *     attribution (compute / contact-wait / queue-wait). Exit status: 0
  *     on success, 2 on usage/parse errors.
  *
- *   kodan-report profile <profile.json> [--top K]
+ *   kodan-report profile <profile.json>
  *     Summarizes a CPU profile (--profile-out output): sample header,
- *     top K frames by self time, and the per-span counter table
- *     (IPC / cache-miss attribution; default K 20). Exit status: 0 on
- *     success, 2 on usage/parse errors.
+ *     the top 20 frames by self time, and the per-span counter table
+ *     (IPC / cache-miss attribution). Exit status: 0 on success, 2 on
+ *     usage/parse errors.
  *
- *   kodan-report profile diff <base.json> <current.json> [--top K]
- *       [--assert] [--tol-calls F] [--tol-cost F] [--cost-floor S]
+ *   kodan-report profile diff <base.json> <current.json>
  *     Ranks regressed frames by delta self-time and regressed spans by
  *     delta cycles (delta task-clock when either run used the rusage
- *     fallback). Span call counts are deterministic and compared
- *     exactly by default (--tol-calls); span costs compare within
- *     --tol-cost relative slowdown (default 0.5) above --cost-floor
- *     seconds (default 1e-3). Exit status: without --assert always 0
- *     unless files fail to parse (2); with --assert, 1 when any
- *     tolerance finding is a regression.
+ *     fallback), to attribute a regression; it is not a gate. Exit
+ *     status: 0, or 2 on usage/parse errors.
  *
  *   kodan-report health <alerts.jsonl> [--baseline <base.jsonl>]
- *       [--journal <journal.jsonl>] [--top K]
+ *       [--journal <journal.jsonl>]
  *     Summarizes a health-plane alert export (writeAlertsJsonl output):
- *     per-rule/entity rollup table plus the top K alerts (default 20).
+ *     per-rule/entity rollup table plus the first 20 alerts.
  *     With --journal, each alert's flight-recorder evidence window is
  *     resolved to the matching journal events. With --baseline, diffs
  *     the alert stream against the committed baseline — the stream is
@@ -53,8 +45,6 @@
  */
 
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -73,18 +63,11 @@ usage()
            "  kodan-report diff <base.json> <current.json>\n"
            "      [--journal <base.jsonl> <current.jsonl>]\n"
            "      [--timeseries <base.ts.json> <current.ts.json>]\n"
-           "      [--tol-timer F] [--tol-value F] [--tol-bin F]\n"
-           "      [--timer-floor S]\n"
-           "      [--tol NAME=F]... [--ignore PREFIX]... "
-           "[--markdown PATH]\n"
            "  kodan-report lineage <spans.jsonl>\n"
-           "  kodan-report profile <profile.json> [--top K]\n"
+           "  kodan-report profile <profile.json>\n"
            "  kodan-report profile diff <base.json> <current.json>\n"
-           "      [--top K] [--assert] [--tol-calls F] [--tol-cost F]\n"
-           "      [--cost-floor S]\n"
            "  kodan-report health <alerts.jsonl>\n"
-           "      [--baseline <base.jsonl>] [--journal <journal.jsonl>]\n"
-           "      [--top K]\n";
+           "      [--baseline <base.jsonl>] [--journal <journal.jsonl>]\n";
     return 2;
 }
 
@@ -95,14 +78,6 @@ fail(const std::string &message)
     return 2;
 }
 
-bool
-parseDouble(const std::string &text, double &out)
-{
-    char *end = nullptr;
-    out = std::strtod(text.c_str(), &end);
-    return end != nullptr && *end == '\0' && end != text.c_str();
-}
-
 int
 runDiff(const std::vector<std::string> &args)
 {
@@ -111,9 +86,6 @@ runDiff(const std::vector<std::string> &args)
     std::string journal_cur;
     std::string ts_base;
     std::string ts_cur;
-    std::string markdown_path;
-    double tol_bin = 0.0;
-    report::Tolerances tol;
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
         if (arg == "--journal" && i + 2 < args.size()) {
@@ -122,35 +94,6 @@ runDiff(const std::vector<std::string> &args)
         } else if (arg == "--timeseries" && i + 2 < args.size()) {
             ts_base = args[++i];
             ts_cur = args[++i];
-        } else if (arg == "--tol-bin" && i + 1 < args.size()) {
-            if (!parseDouble(args[++i], tol_bin)) {
-                return fail("bad --tol-bin value");
-            }
-        } else if (arg == "--tol-timer" && i + 1 < args.size()) {
-            if (!parseDouble(args[++i], tol.timer_rel)) {
-                return fail("bad --tol-timer value");
-            }
-        } else if (arg == "--tol-value" && i + 1 < args.size()) {
-            if (!parseDouble(args[++i], tol.value_rel)) {
-                return fail("bad --tol-value value");
-            }
-        } else if (arg == "--timer-floor" && i + 1 < args.size()) {
-            if (!parseDouble(args[++i], tol.timer_floor_s)) {
-                return fail("bad --timer-floor value");
-            }
-        } else if (arg == "--tol" && i + 1 < args.size()) {
-            const std::string &spec = args[++i];
-            const std::size_t eq = spec.find('=');
-            double value = 0.0;
-            if (eq == std::string::npos ||
-                !parseDouble(spec.substr(eq + 1), value)) {
-                return fail("bad --tol spec (want NAME=F): " + spec);
-            }
-            tol.overrides.emplace_back(spec.substr(0, eq), value);
-        } else if (arg == "--ignore" && i + 1 < args.size()) {
-            tol.ignore_prefixes.push_back(args[++i]);
-        } else if (arg == "--markdown" && i + 1 < args.size()) {
-            markdown_path = args[++i];
         } else if (!arg.empty() && arg[0] == '-') {
             return fail("unknown diff option: " + arg);
         } else {
@@ -168,7 +111,7 @@ runDiff(const std::vector<std::string> &args)
         !report::loadSnapshot(positional[1], cur, &error)) {
         return fail(error);
     }
-    report::DiffResult diff = report::diffSnapshots(base, cur, tol);
+    report::DiffResult diff = report::diffSnapshots(base, cur);
     if (!journal_base.empty()) {
         report::JournalDoc jbase;
         report::JournalDoc jcur;
@@ -186,21 +129,11 @@ runDiff(const std::vector<std::string> &args)
             !report::loadTimeSeries(ts_cur, tcur, &error)) {
             return fail(error);
         }
-        diff = report::mergeDiffs(
-            std::move(diff), report::diffTimeSeries(tbase, tcur, tol_bin));
+        diff = report::mergeDiffs(std::move(diff),
+                                  report::diffTimeSeries(tbase, tcur));
     }
 
-    if (markdown_path.empty()) {
-        report::writeMarkdown(diff, positional[0], positional[1],
-                              std::cout);
-    } else {
-        std::ofstream out(markdown_path);
-        if (!out) {
-            return fail("cannot write " + markdown_path);
-        }
-        report::writeMarkdown(diff, positional[0], positional[1], out);
-        std::cerr << "kodan-report: wrote " << markdown_path << "\n";
-    }
+    report::writeMarkdown(diff, positional[0], positional[1], std::cout);
     return diff.hasRegression() ? 1 : 0;
 }
 
@@ -210,16 +143,12 @@ runHealth(const std::vector<std::string> &args)
     std::vector<std::string> positional;
     std::string baseline_path;
     std::string journal_path;
-    std::size_t top = 20;
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
         if (arg == "--baseline" && i + 1 < args.size()) {
             baseline_path = args[++i];
         } else if (arg == "--journal" && i + 1 < args.size()) {
             journal_path = args[++i];
-        } else if (arg == "--top" && i + 1 < args.size()) {
-            top = static_cast<std::size_t>(
-                std::strtoul(args[++i].c_str(), nullptr, 10));
         } else if (!arg.empty() && arg[0] == '-') {
             return fail("unknown health option: " + arg);
         } else {
@@ -291,9 +220,9 @@ runHealth(const std::vector<std::string> &args)
     std::cout << "\n";
     std::size_t shown = 0;
     for (const report::AlertReading &alert : doc.alerts) {
-        if (shown++ >= top) {
-            std::cout << "... " << (doc.alerts.size() - top)
-                      << " more alert(s) not shown (--top)\n";
+        if (shown++ >= report::kTopRows) {
+            std::cout << "... " << (doc.alerts.size() - report::kTopRows)
+                      << " more alert(s) not shown\n";
             break;
         }
         std::cout << "[" << alert.state << "] " << alert.rule << " "
@@ -333,36 +262,11 @@ runProfile(const std::vector<std::string> &args)
 {
     const bool is_diff = !args.empty() && args[0] == "diff";
     std::vector<std::string> positional;
-    std::size_t top = 20;
-    bool assert_clean = false;
-    report::ProfileTolerances tol;
     for (std::size_t i = is_diff ? 1 : 0; i < args.size(); ++i) {
-        const std::string &arg = args[i];
-        if (arg == "--top" && i + 1 < args.size()) {
-            top = static_cast<std::size_t>(
-                std::strtoul(args[++i].c_str(), nullptr, 10));
-        } else if (is_diff && arg == "--assert") {
-            assert_clean = true;
-        } else if (is_diff && arg == "--tol-calls" &&
-                   i + 1 < args.size()) {
-            if (!parseDouble(args[++i], tol.calls_rel)) {
-                return fail("bad --tol-calls value");
-            }
-        } else if (is_diff && arg == "--tol-cost" &&
-                   i + 1 < args.size()) {
-            if (!parseDouble(args[++i], tol.cost_rel)) {
-                return fail("bad --tol-cost value");
-            }
-        } else if (is_diff && arg == "--cost-floor" &&
-                   i + 1 < args.size()) {
-            if (!parseDouble(args[++i], tol.cost_floor_s)) {
-                return fail("bad --cost-floor value");
-            }
-        } else if (!arg.empty() && arg[0] == '-') {
-            return fail("unknown profile option: " + arg);
-        } else {
-            positional.push_back(arg);
+        if (!args[i].empty() && args[i][0] == '-') {
+            return fail("unknown profile option: " + args[i]);
         }
+        positional.push_back(args[i]);
     }
 
     std::string error;
@@ -374,7 +278,7 @@ runProfile(const std::vector<std::string> &args)
         if (!report::loadProfile(positional[0], doc, &error)) {
             return fail(error);
         }
-        report::writeProfileMarkdown(doc, positional[0], top, std::cout);
+        report::writeProfileMarkdown(doc, positional[0], std::cout);
         return 0;
     }
 
@@ -387,13 +291,9 @@ runProfile(const std::vector<std::string> &args)
         !report::loadProfile(positional[1], cur, &error)) {
         return fail(error);
     }
-    const report::ProfileDiffResult diff =
-        report::diffProfiles(base, cur, tol);
-    report::writeProfileDiffMarkdown(diff, positional[0], positional[1],
-                                     top, std::cout);
-    if (assert_clean && diff.findings.hasRegression()) {
-        return 1;
-    }
+    report::writeProfileDiffMarkdown(report::diffProfiles(base, cur),
+                                     positional[0], positional[1],
+                                     std::cout);
     return 0;
 }
 
